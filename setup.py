@@ -13,8 +13,10 @@ Compiled kernel tier
 default build stays pure python — mypy/mypyc is only needed when the
 flag is set (CI's ``compiled-smoke`` job exercises it).  At runtime the
 compiled extensions shadow the ``.py`` sources transparently;
-``REPRO_PURE_PYTHON=1`` forces the sources back (see
-``repro/_backend.py`` and ``repro/_purity.py``).
+``REPRO_PURE_PYTHON=1`` forces the sources back, and
+``repro._purity.kernel_backend()`` reports which build loaded (see
+``repro/_purity.py``, which lives outside the tier and stays
+interpreted).
 """
 
 import os
@@ -26,8 +28,6 @@ from setuptools import setup
 #:   * ``__init__.py`` files stay interpreted so packages keep normal
 #:     import semantics and the REPRO_PURE_PYTHON source-only finder can
 #:     reroute their submodules;
-#:   * ``des/_backend.py`` stays interpreted — it decides between the
-#:     compiled and interpreted builds, so it cannot live inside either;
 #:   * ``des/rng.py`` is numpy-bound (no hot pure-python arithmetic);
 #:   * ``des/trace.py`` and ``cache/entry.py`` use
 #:     ``@dataclass(slots=True)``, which mypyc does not support.
@@ -39,7 +39,6 @@ MYPYC_MODULES = [
     "src/repro/des/process.py",
     "src/repro/des/queues.py",
     "src/repro/des/resource.py",
-    "src/repro/des/soa_heap.py",
     "src/repro/cache/client_cache.py",
     "src/repro/cache/lru.py",
     "src/repro/reports/amnesic.py",

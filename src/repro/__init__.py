@@ -19,14 +19,12 @@ Quickstart::
     print(result.summary())
 """
 
-import os as _os
+from . import _purity
 
-if _os.environ.get("REPRO_PURE_PYTHON", "") not in ("", "0"):
+if _purity.pure_python_forced():
     # Must run before any strict-tier import: reroute compiled extension
-    # modules back to their .py sources (see repro/_purity.py).
-    from . import _purity as _purity_hook
-
-    _purity_hook.install()
+    # modules back to their .py sources.
+    _purity.install()
 
 from .net import FaultConfig
 from .sim import (

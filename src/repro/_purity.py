@@ -6,13 +6,18 @@ at install time), extension modules shadow the ``.py`` sources on
 shadowing for the tier packages only: any submodule whose resolved spec
 points at an extension is re-resolved to the sibling ``.py`` file, so
 the whole tier runs interpreted.  Installed by ``repro/__init__``
-*before* any tier import when the environment variable is set; a no-op
-on a pure-python install (specs already point at sources).
+*before* any tier import when :func:`pure_python_forced`; a no-op on a
+pure-python install (specs already point at sources).
 
 Specs with no ``.py`` twin (e.g. the shared ``<pkg>__mypyc`` runtime
 extension mypyc emits per build group) are left untouched — they are
 harmless on their own and only referenced by the compiled modules we
 are bypassing.
+
+:func:`kernel_backend` says which build of the tier actually loaded.
+Every ``BENCH_*.json`` host block records it, because compiled and
+interpreted timings are not comparable.  This module sits outside the
+tier, so it always runs interpreted.
 """
 
 from __future__ import annotations
@@ -28,6 +33,18 @@ from typing import Optional, Sequence
 PURE_PREFIXES = ("repro.des", "repro.reports", "repro.cache")
 
 _EXT_SUFFIXES = tuple(EXTENSION_SUFFIXES)
+
+
+def pure_python_forced() -> bool:
+    """True when ``REPRO_PURE_PYTHON`` demands the interpreted tier."""
+    return os.environ.get("REPRO_PURE_PYTHON", "") not in ("", "0")
+
+
+def kernel_backend() -> str:
+    """``"compiled"`` or ``"pure"``: which build of the kernel tier loaded."""
+    module = sys.modules.get("repro.des.environment")
+    origin = getattr(getattr(module, "__spec__", None), "origin", None) or ""
+    return "compiled" if origin.endswith(_EXT_SUFFIXES) else "pure"
 
 
 class _SourceOnlyFinder:

@@ -5,11 +5,9 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple, Union
 
-from ._backend import heap_kind
 from .errors import EmptySchedule, StopSimulation
 from .event import AllOf, AnyOf, Event, NORMAL, Timeout, _Wakeup
 from .process import Process
-from .soa_heap import EventHeap
 
 Infinity = float("inf")
 
@@ -20,14 +18,10 @@ class Environment:
     Events are processed in ``(time, priority, insertion order)`` order,
     which makes runs fully deterministic for a fixed seed.
 
-    Two interchangeable heap backends hold the schedule (selected once at
-    construction by :func:`repro.des._backend.heap_kind`): a list of
-    ``(when, priority, eid, payload)`` tuples sifted by the C ``heapq``
-    — the winner under the interpreter — and the struct-of-arrays
-    :class:`~repro.des.soa_heap.EventHeap` — the winner once the kernel
-    tier is compiled with mypyc.  Both produce the identical pop
-    sequence (``(when, priority, eid)`` is a strict total order), so a
-    run is bit-identical whichever is active.
+    The schedule is a list of ``(when, priority, eid, payload)`` tuples
+    sifted by the C ``heapq``.  Eids are unique, so ``(when, priority,
+    eid)`` is a strict total order: the pop sequence is fully determined
+    by the schedule and never reaches a payload comparison.
 
     Parameters
     ----------
@@ -35,24 +29,19 @@ class Environment:
         Simulation clock value at construction (default 0.0).
     """
 
-    __slots__ = ("_now", "_heap", "_soa", "_eid", "_active_process", "_tracer")
+    __slots__ = ("_now", "_heap", "_eid", "_active_process", "_tracer")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        # Tuple-backend entries are (time, priority, eid, Event-or-_Wakeup);
-        # the payload stays Any because the wakeup fast lane only
-        # duck-types Event.  Unused (empty) when the SoA backend is active.
+        # Entries are (time, priority, eid, Event-or-_Wakeup); the payload
+        # stays Any because the wakeup fast lane only duck-types Event.
         self._heap: List[Tuple[float, int, int, Any]] = []
-        self._soa: Optional[EventHeap] = (
-            EventHeap() if heap_kind() == "soa" else None
-        )
         self._eid = 0
         self._active_process: Optional[Process] = None
         self._tracer: Optional[Callable[[float, Any], None]] = None
 
     def __repr__(self) -> str:
-        pending = len(self._soa) if self._soa is not None else len(self._heap)
-        return f"<Environment now={self._now} pending={pending}>"
+        return f"<Environment now={self._now} pending={len(self._heap)}>"
 
     @property
     def now(self) -> float:
@@ -63,11 +52,6 @@ class Environment:
     def scheduled_events(self) -> int:
         """Total events ever scheduled (the kernel's throughput unit)."""
         return self._eid
-
-    @property
-    def heap_kind(self) -> str:
-        """Active heap backend: ``"soa"`` or ``"tuple"`` (telemetry)."""
-        return "soa" if self._soa is not None else "tuple"
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -130,15 +114,10 @@ class Environment:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         self._eid = eid = self._eid + 1
-        if self._soa is None:
-            heapq.heappush(self._heap, (self._now + delay, priority, eid, event))
-        else:
-            self._soa.push(self._now + delay, priority, eid, event)
+        heapq.heappush(self._heap, (self._now + delay, priority, eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
-        if self._soa is not None:
-            return self._soa.peek_when() if self._soa else Infinity
         return self._heap[0][0] if self._heap else Infinity
 
     def step(self) -> None:
@@ -149,21 +128,16 @@ class Environment:
         EmptySchedule
             If no events remain.
         """
-        if self._soa is not None:
-            if not self._soa:
-                raise EmptySchedule("no scheduled events remain")
-            when, eid, event = self._soa.pop()
-        else:
-            try:
-                when, _prio, eid, event = heapq.heappop(self._heap)
-            except IndexError:
-                raise EmptySchedule("no scheduled events remain") from None
+        try:
+            when, _prio, eid, event = heapq.heappop(self._heap)
+        except IndexError:
+            raise EmptySchedule("no scheduled events remain") from None
         self._now = when
         self._dispatch(when, eid, event)
 
     def _dispatch(self, when: float, eid: int, event: Any) -> None:
         """Process one popped entry — the single-event twin of the run
-        loops' inlined dispatch (keep the three in lockstep)."""
+        loop's inlined dispatch (keep the two in lockstep)."""
         if type(event) is _Wakeup:
             if event.eid == eid:  # stale (interrupted) wakes are skipped
                 if self._tracer is not None:
@@ -217,16 +191,13 @@ class Environment:
                     f"until={stop_at} lies in the past (now={self._now})"
                 )
 
-        # Inlined dispatch loops: heap access, the wakeup fast lane, the
+        # Inlined dispatch loop: heap access, the wakeup fast lane, the
         # single-waiter resume and the processed-marking are hot enough at
         # full scale that method and property indirections measurably cost
         # (see docs/PERFORMANCE.md); step() stays as the single-event API.
-        # One loop per heap backend — keep their dispatch bodies (and
-        # _dispatch above) textually in lockstep; the kernel goldens and
-        # tests/des/test_heap_equivalence.py pin them bit-identical.
+        # Keep this dispatch body and _dispatch above in lockstep; the
+        # kernel goldens pin them bit-identical.
         try:
-            if self._soa is not None:
-                return self._run_soa(stop_at, until_event)
             heap = self._heap
             pop = heapq.heappop
             wakeup_cls = _Wakeup
@@ -278,66 +249,6 @@ class Environment:
                     raise event.value
         except StopSimulation as stop:
             return stop.value
-        if until_event is not None:
-            raise RuntimeError(
-                "run(until=event) exhausted the schedule before the event fired"
-            )
-        if stop_at is not Infinity:
-            self._now = stop_at
-        return None
-
-    def _run_soa(self, stop_at: float, until_event: Optional[Event]) -> Any:
-        """The run loop over the struct-of-arrays heap backend.
-
-        Same dispatch as the tuple loop in :meth:`run` (kept in lockstep);
-        StopSimulation unwinding stays in the caller's ``try``.
-        """
-        soa = self._soa
-        assert soa is not None
-        whens = soa._when
-        wakeup_cls = _Wakeup
-        timeout_cls = Timeout
-        bounded = stop_at != Infinity
-        tracer = self._tracer  # set_tracer applies from the next run
-        while whens:
-            if bounded and whens[0] > stop_at:
-                self._now = stop_at
-                return None
-            when, eid, event = soa.pop()
-            self._now = when
-            cls: Any = event.__class__
-            if cls is timeout_cls:
-                proc = event._proc
-                if proc is not None:
-                    if tracer is not None:
-                        tracer(when, event)
-                    event._processed = True
-                    event.callbacks = None
-                    event._proc = None
-                    proc._resume(event)
-                    continue
-            elif cls is wakeup_cls:
-                if event.eid == eid:  # stale (interrupted) wakes skip
-                    if tracer is not None:
-                        tracer(when, event)
-                    event.proc._resume(event)
-                continue
-            if tracer is not None:
-                tracer(when, event)
-            callbacks = event.callbacks
-            event._processed = True
-            event.callbacks = None
-            proc = event._proc
-            if proc is not None:
-                event._proc = None
-                proc._resume(event)
-                for callback in callbacks:
-                    callback(event)
-                continue
-            for callback in callbacks:
-                callback(event)
-            if event._ok is False and not event._defused and not callbacks:
-                raise event.value
         if until_event is not None:
             raise RuntimeError(
                 "run(until=event) exhausted the schedule before the event fired"

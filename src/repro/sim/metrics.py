@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Dict
 
 from ..des.monitor import MetricSet
 
@@ -92,15 +92,13 @@ class SimulationResult:
     """Everything a finished run reports.
 
     ``raw`` holds the flattened collector snapshot; the named properties
-    expose the metrics the paper's figures plot.  Values are floats for
-    metrics proper plus a few string-valued identity keys
-    (``kernel.backend``, ``kernel.heap``), hence ``Any``.
+    expose the metrics the paper's figures plot.
     """
 
     scheme: str
     workload: str
     sim_time: float
-    raw: Dict[str, Any] = field(default_factory=dict)
+    raw: Dict[str, float] = field(default_factory=dict)
 
     def counter(self, name: str) -> float:
         """A raw counter value (0.0 when never touched)."""

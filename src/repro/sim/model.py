@@ -6,7 +6,6 @@ from typing import Dict, List, Union
 
 from ..db import Database, UpdateGenerator, UpdateLog
 from ..des import Environment, RandomStreams
-from ..des._backend import kernel_backend
 from ..des.monitor import MetricSet
 from ..net import Channel, FaultModel, PRIORITY_CHECK, PRIORITY_IR
 from ..schemes import Scheme, get_scheme
@@ -307,11 +306,6 @@ class SimulationModel:
         # Kernel telemetry: lets the perf benches compute events/second
         # without reaching into Environment internals.
         result.raw["kernel.events_scheduled"] = float(self.env.scheduled_events)
-        # Backend identity (strings, not metrics): which build of the kernel
-        # tier ran and which heap held the schedule.  Excluded from
-        # fault-equivalence comparisons alongside the other kernel.* keys.
-        result.raw["kernel.backend"] = kernel_backend()
-        result.raw["kernel.heap"] = self.env.heap_kind
         # Channel telemetry joins the raw snapshot.
         result.raw["downlink.utilization"] = self.downlink.stats.utilization(
             self.env.now

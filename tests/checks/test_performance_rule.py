@@ -109,75 +109,6 @@ def test_perf001_subclass_without_own_slots_flagged(check):
     assert "class Child" in findings[0].message
 
 
-def test_perf001_tuple_literal_in_sift_flagged(check):
-    findings = check(
-        {
-            "repro/des/soa_heap.py": (
-                "class EventHeap:\n"
-                "    __slots__ = ('_when',)\n"
-                "    def _sift_to_root(self, pos):\n"
-                "        while pos > 0:\n"
-                "            entry = (1.0, 2, 3)\n"
-                "            pos -= 1\n"
-            )
-        },
-        codes=["PERF001"],
-    )
-    assert len(findings) == 1
-    assert "tuple literal in sift hot path _sift_to_root()" in findings[0].message
-
-
-def test_perf001_list_literal_in_push_key_flagged(check):
-    findings = check(
-        {
-            "repro/des/queues.py": (
-                "class PriorityStore:\n"
-                "    __slots__ = ('_kprio',)\n"
-                "    def _push_key(self, kprio, kseq, item):\n"
-                "        box = [kprio, kseq]\n"
-            )
-        },
-        codes=["PERF001"],
-    )
-    assert len(findings) == 1
-    assert "list literal in sift hot path _push_key()" in findings[0].message
-
-
-def test_perf001_sift_annotations_and_unpacking_pass(check):
-    findings = check(
-        {
-            "repro/des/soa_heap.py": (
-                "from typing import Any, Tuple\n"
-                "class EventHeap:\n"
-                "    __slots__ = ('_when',)\n"
-                "    def pop(self) -> Tuple[float, int, Any]:\n"
-                "        a, b = self._when[0], self._when[1]\n"
-                "        return a\n"
-            )
-        },
-        codes=["PERF001"],
-    )
-    # The return annotation's Tuple[...] and the a, b unpacking target are
-    # type/stack machinery, not allocations; the RHS (a, b) tuple IS one.
-    assert len(findings) == 1
-    assert findings[0].line == 5
-
-
-def test_perf001_sift_scan_scoped_to_heap_modules(check):
-    findings = check(
-        {
-            "repro/des/event.py": (
-                "class Event:\n"
-                "    __slots__ = ()\n"
-                "    def push(self):\n"
-                "        return (1, 2)\n"
-            )
-        },
-        codes=["PERF001"],
-    )
-    assert findings == []
-
-
 def test_perf001_scope_only_hot_modules(check):
     slotless = "class Cold:\n    pass\n"
     findings = check(
