@@ -28,11 +28,16 @@ class AmnesicReport(Report):
         items: Iterable[int],
         n_items: int,
         timestamp_bits: int = DEFAULT_TIMESTAMP_BITS,
+        origin: float = float("-inf"),
     ) -> None:
         if interval <= 0:
             raise ValueError("broadcast interval must be positive")
         self.timestamp = float(timestamp)
         self.interval = float(interval)
+        #: Oldest ``Tlb`` the report vouches for: the previous report, or
+        #: the server's history floor when that is later (a restarted
+        #: server never saw the updates before it).
+        self.covered_from = max(self.timestamp - self.interval, float(origin))
         self.items: FrozenSet[int] = frozenset(items)
         self.n_items = n_items
         self.size_bits = amnesic_report_bits(len(self.items), n_items, timestamp_bits)
@@ -41,8 +46,9 @@ class AmnesicReport(Report):
         return f"<AmnesicReport T={self.timestamp} n={len(self.items)}>"
 
     def covers(self, tlb: float) -> bool:
-        """The client must have heard the previous report."""
-        return tlb >= self.timestamp - self.interval
+        """The client must have heard the previous report (of this
+        server incarnation)."""
+        return tlb >= self.covered_from
 
     def invalidation_for(self, tlb: float) -> Invalidation:
         if not self.covers(tlb):
@@ -64,4 +70,5 @@ def build_amnesic_report(
         items=items,
         n_items=db.n_items,
         timestamp_bits=timestamp_bits,
+        origin=db.origin_time,
     )

@@ -1,21 +1,22 @@
 """Transport-free client certification core.
 
-:class:`ClientSession` is the piece of the simulated client
-(:mod:`repro.sim.client`) that is pure protocol: report dedup, the
-``(cell, epoch)`` incarnation state machine, missed-report detection,
-``Tlb`` bookkeeping, and dispatch into the scheme's
-:class:`~repro.schemes.base.ClientPolicy`.  No event loop, no channels,
-no energy model — callers feed it reports and replies and observe the
-outcome.  Both the simulator-independent service façade
-(:mod:`repro.service`) and unit tests drive schemes through it, so the
-certification semantics exercised in production are *the same object
-code* the simulation campaigns validated.
+:class:`ClientSession` is the protocol half of every scheme's client:
+report dedup, the ``(cell, epoch)`` incarnation state machine,
+missed-report detection, ``Tlb`` bookkeeping, validity replies,
+validation timeouts, the connectivity resets, and dispatch into the
+scheme's :class:`~repro.schemes.base.ClientPolicy`.  No event loop, no
+channels, no energy model — callers feed it reports and replies and act
+on the outcome.  The simulated client (:mod:`repro.sim.client`) and the
+service node (:mod:`repro.service`) both run it, so the service certifies
+with *the same object code* the simulation campaigns validated.
 
 The session is its own policy context: it exposes ``cache``, ``tlb``,
 ``send_tlb``, ``send_check_request`` and ``note_cache_drop`` exactly as
 the scheme contract in :mod:`repro.schemes.base` requires, forwarding
-the uplink calls to injected callbacks (the service wires them to its
-L2 backend; tests wire them to lists).
+the uploads to injected callbacks (the simulator's uplink, the service's
+L2 backend, a test's lists).  It counts into the caller's
+:class:`~repro.des.monitor.MetricSet` (the cell's in the simulator, a
+private one by default) under the names below.
 """
 
 from __future__ import annotations
@@ -24,14 +25,25 @@ import enum
 from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 from ..cache import CacheEntry, ClientCache
+from ..des.monitor import MetricSet
 from ..reports.base import Report
 from .base import ClientOutcome, ClientPolicy
 
 __all__ = ["ClientSession", "SessionOutcome"]
 
+# Counter names, shared with the simulator's result keys (repro.sim.metrics).
+IR_DUPLICATES = "client.ir_duplicates"        # repeated-report copies discarded
+IR_GAPS = "client.ir_gaps"                    # reports provably missed
+TLB_UPLOADS = "adaptive.tlb_uploads"
+CHECKS_SENT = "checking.requests"
+# Created on first use, so chaos-free and single-cell runs never list them.
+EPOCH_PURGES = "chaos.epoch_purges"           # clients reacting to a new epoch
+ROAM_LAGGED_REPORTS = "roam.lagged_reports"   # reports older than the roamer's Tlb
+
 #: ``send_check_request`` receives ``(item, effective_ts)`` pairs (the
-#: checking/gcore upload wire format; gcore pre-collapses group minima).
-CheckSender = Callable[[Sequence[Tuple[int, float]]], None]
+#: checking/gcore upload wire format; gcore pre-collapses group minima)
+#: and the scheme's upload size in bits (None: the caller prices it).
+CheckSender = Callable[[Sequence[Tuple[int, float]], Optional[float]], None]
 TlbSender = Callable[[float], None]
 
 
@@ -42,6 +54,11 @@ class SessionOutcome(enum.Enum):
     PENDING = "pending"      # salvage in flight (Tlb/check uploaded)
     DUPLICATE = "duplicate"  # repetition-coded copy already applied
     LAGGED = "lagged"        # report older than Tlb (stale publisher)
+
+
+_READY = ClientOutcome.READY
+_SESSION_READY = SessionOutcome.READY
+_SESSION_PENDING = SessionOutcome.PENDING
 
 
 def _noop() -> None:
@@ -55,21 +72,23 @@ class ClientSession:
         "policy",
         "cache",
         "params",
+        "metrics",
         "tlb",
+        "pending",
+        "episode",
         "_send_tlb",
         "_send_check",
         "_note_drop",
+        "_on_gap",
+        "_interval",
         "_last_applied",
         "_last_heard",
         "_cell",
         "_epoch",
-        "pending",
-        "epoch_purges",
-        "lagged_reports",
-        "missed_reports",
-        "duplicate_reports",
-        "tlb_uploads",
-        "check_uploads",
+        "_m_duplicates",
+        "_m_gaps",
+        "_m_tlb_uploads",
+        "_m_checks",
     )
 
     def __init__(
@@ -78,39 +97,58 @@ class ClientSession:
         cache: ClientCache,
         params: Any,
         *,
+        metrics: Optional[MetricSet] = None,
         send_tlb: Optional[TlbSender] = None,
         send_check_request: Optional[CheckSender] = None,
         note_cache_drop: Optional[Callable[[], None]] = None,
+        on_gap: Optional[Callable[[int], None]] = None,
         start_tlb: float = 0.0,
+        cell: Optional[int] = None,
+        epoch: int = 0,
     ) -> None:
         self.policy = policy
         self.cache = cache
         #: Duck-typed protocol parameters (``broadcast_interval`` is the
         #: only field the session itself reads; the policy reads more).
         self.params = params
+        self.metrics = metrics if metrics is not None else MetricSet()
         #: Last-heard report timestamp — the paper's ``Tlb``.  Settable
         #: by the policy (the context contract).
         self.tlb = start_tlb
-        self._send_tlb: TlbSender = send_tlb or (lambda _tlb: None)
-        self._send_check: CheckSender = send_check_request or (lambda _entries: None)
-        self._note_drop: Callable[[], None] = note_cache_drop or _noop
-        self._last_applied: Optional[float] = None
-        self._last_heard: Optional[float] = 0.0
-        self._cell: Optional[int] = None
-        self._epoch = 0
         #: A scheme salvage (Tlb upload / checking reply) is outstanding.
         self.pending = False
-        self.epoch_purges = 0
-        self.lagged_reports = 0
-        self.missed_reports = 0
-        self.duplicate_reports = 0
-        self.tlb_uploads = 0
-        self.check_uploads = 0
+        #: Bumped each time ``pending`` turns on, so a validation timer
+        #: can tell a fresh episode from the one it was timing.
+        self.episode = 0
+        self._send_tlb: TlbSender = send_tlb or (lambda _tlb: None)
+        self._send_check: CheckSender = send_check_request or (
+            lambda _entries, _size_bits: None
+        )
+        self._note_drop: Callable[[], None] = note_cache_drop or _noop
+        #: Told how many reports each gap proves lost (the sim's NACK).
+        self._on_gap = on_gap
+        self._interval = float(params.broadcast_interval)
+        #: Last report applied, for repetition-coding dedup: re-running
+        #: an uncovered copy would escalate the adaptive schemes'
+        #: ask-once salvage to a full cache drop.
+        self._last_applied: Optional[float] = None
+        #: Last report decoded while listening (None after a
+        #: reconnection, when a gap is expected rather than loss).
+        self._last_heard: Optional[float] = 0.0
+        #: ``(cell, epoch)`` the cache is certified against; a None cell
+        #: adopts the next report's pair.
+        self._cell = cell
+        self._epoch = epoch
+        bind = self.metrics.bind_counter
+        self._m_duplicates = bind(IR_DUPLICATES)
+        self._m_gaps = bind(IR_GAPS)
+        self._m_tlb_uploads = bind(TLB_UPLOADS)
+        self._m_checks = bind(CHECKS_SENT)
 
     # -- the ClientPolicy context surface ---------------------------------
 
     def send_tlb(self, tlb: float) -> None:
-        self.tlb_uploads += 1
+        self._m_tlb_uploads.add()
         self._send_tlb(tlb)
 
     def send_check_request(
@@ -118,28 +156,29 @@ class ClientSession:
         entries: Sequence[Tuple[int, float]],
         size_bits: Optional[float] = None,
     ) -> None:
-        self.check_uploads += 1
-        self._send_check(entries)
+        self._m_checks.add()
+        self._send_check(entries, size_bits)
 
     def note_cache_drop(self) -> None:
         self._note_drop()
 
-    # -- report intake (mirrors repro.sim.client._on_downlink, IR arm) ----
+    # -- report intake -----------------------------------------------------
 
     def offer_report(self, report: Report, now: float) -> SessionOutcome:
         """Feed one received report through dedup/epoch/gap/policy.
 
-        The exact state machine the simulated client runs: duplicate
-        copies are discarded; a new ``(cell, epoch)`` pair after handoff
-        is adopted without purging; an epoch bump or timeline regression
-        voids certified knowledge via the scheme's ``on_epoch_change``
-        (default: full drop) and resynchronises ``Tlb``; a lagging
-        report (older than ``Tlb``) is skipped; a gap of more than one
-        broadcast interval is reported to the policy before dispatch.
+        Duplicate copies are discarded; a new ``(cell, epoch)`` pair
+        after handoff is adopted without purging; an epoch bump or
+        timeline regression voids certified knowledge via the scheme's
+        ``on_epoch_change`` (default: full drop) and resynchronises
+        ``Tlb``; a lagging report (older than ``Tlb``) is skipped; a gap
+        of more than one broadcast interval is reported to the policy
+        (and the ``on_gap`` listener) before dispatch.
         """
         report_ts = report.timestamp
-        if report_ts == self._last_applied:
-            self.duplicate_reports += 1
+        last_applied = self._last_applied
+        if report_ts == last_applied:
+            self._m_duplicates.add()
             return SessionOutcome.DUPLICATE
         epoch = report.epoch
         if self._cell is None:
@@ -151,11 +190,11 @@ class ClientSession:
         elif (
             epoch != self._epoch
             or report.cell != self._cell
-            or (self._last_applied is not None and report_ts < self._last_applied)
+            or (last_applied is not None and report_ts < last_applied)
         ):
             # Server restart (or timeline regression — same symptom):
             # certified history is void.  Scheme purges, Tlb resyncs.
-            self.epoch_purges += 1
+            self.metrics.counter(EPOCH_PURGES).add()
             self.policy.on_epoch_change(self, self._epoch, epoch, now)
             self._cell = report.cell
             self._epoch = epoch
@@ -163,49 +202,65 @@ class ClientSession:
             self._last_heard = None
             self.tlb = report_ts
         if report_ts < self.tlb:
-            self.lagged_reports += 1
+            # Applying it would regress knowledge (and wrongly purge).
+            self.metrics.counter(ROAM_LAGGED_REPORTS).add()
             return SessionOutcome.LAGGED
         self._last_applied = report_ts
         last = self._last_heard
         self._last_heard = report_ts
-        interval = float(self.params.broadcast_interval)
-        if last is not None and round((report_ts - last) / interval) > 1:
-            n_missed = int(round((report_ts - last) / interval)) - 1
-            self.missed_reports += n_missed
-            self.policy.on_missed_reports(self, n_missed, now)
-        outcome = self.policy.on_report(self, report)
-        if outcome is ClientOutcome.READY:
+        if last is not None:
+            # Reports arrive at every ``i * L``: more than one interval
+            # since the last one decoded while listening means the
+            # wireless hop ate reports.
+            n_missed = round((report_ts - last) / self._interval) - 1
+            if n_missed > 0:
+                self._m_gaps.add(n_missed)
+                if self._on_gap is not None:
+                    self._on_gap(n_missed)
+                self.policy.on_missed_reports(self, n_missed, now)
+        if self.policy.on_report(self, report) is _READY:
             self.pending = False
-            return SessionOutcome.READY
-        self.pending = True
-        return SessionOutcome.PENDING
+            return _SESSION_READY
+        if not self.pending:
+            self.pending = True
+            self.episode += 1
+        return _SESSION_PENDING
 
     # -- salvage replies ---------------------------------------------------
 
     def validity_reply(
         self, invalid_items: Iterable[int], certified_at: float
-    ) -> None:
-        """Apply the server's answer to a checking upload."""
+    ) -> bool:
+        """Apply the server's answer to a checking upload.
+
+        Returns False, applying nothing, when no salvage is pending: a
+        reply from a previous episode would certify state it never
+        validated (in particular it would clear suspect marks).
+        """
         if not self.pending:
-            # A reply from a previous episode: applying it would certify
-            # state it never validated.  Drop (sim client does the same).
-            return
+            return False
         self.policy.on_validity_reply(self, invalid_items, certified_at)
         self.pending = False
+        return True
 
     def validation_timeout(self, now: float) -> bool:
-        """The expected reply never came.  Returns True when the policy
-        re-issued the upload (stay pending); False degrades to a full
-        drop + resync, exactly like the simulated watchdog."""
+        """The expected reply never came.  True when the policy re-issued
+        the upload (stay pending); False after :meth:`give_up`."""
         if not self.pending:
             return True
         if self.policy.on_validation_timeout(self, now):
             return True
+        self.give_up(now)
+        return False
+
+    def give_up(self, now: float) -> None:
+        """Abandon the salvage: drop the cache (an empty cache is
+        trivially consistent), resynchronise at the next report, and let
+        the policy's reconnect hook reset its in-flight exchange."""
         self.cache.drop_all()
         self.note_cache_drop()
         self.pending = False
         self.policy.on_reconnect(self, now)
-        return False
 
     # -- connectivity episodes --------------------------------------------
 
@@ -215,9 +270,34 @@ class ClientSession:
 
     def reconnect(self, now: float) -> None:
         """The feed is back.  Reports missed while away are *expected*,
-        not wireless loss — suppress gap accounting for the first report
-        and reset the policy's per-episode latches."""
+        not wireless loss, and a reply to a pre-doze upload is lost:
+        suppress the next gap, end the pending episode, and reset the
+        policy's per-episode latches."""
+        self.pending = False
         self._last_heard = None
+        self.policy.on_reconnect(self, now)
+
+    def promote(self, now: float) -> None:
+        """A reconnection whose doze was spent in the population pool."""
+        self.pending = False
+        self._last_heard = None
+        self.policy.on_promote(self, now)
+
+    def hand_off(self) -> None:
+        """Moved to another cell: adopt its ``(cell, epoch)`` at the next
+        report and expect a gap; cache and ``Tlb`` travel unchanged."""
+        self._cell = None
+        self._last_applied = None
+        self._last_heard = None
+
+    def reboot(self, cache: ClientCache, now: float) -> None:
+        """Volatile state lost: a fresh *cache*, ``Tlb`` 0, no report
+        history, no salvage in flight; the ``(cell, epoch)`` is kept."""
+        self.cache = cache
+        self.tlb = 0.0
+        self._last_applied = None
+        self._last_heard = None
+        self.pending = False
         self.policy.on_reconnect(self, now)
 
     # -- introspection -----------------------------------------------------
@@ -231,28 +311,32 @@ class ClientSession:
     def last_report_applied(self) -> Optional[float]:
         return self._last_applied
 
-    def insert_fetched(
-        self, entry: CacheEntry, coherent_ts: Optional[float] = None
-    ) -> bool:
+    def insert_fetched(self, entry: CacheEntry) -> bool:
         """Insert a fetched entry, marking it suspect when its coherence
         predates ``Tlb`` (fetch crossed a report boundary — the scheme
         must reconcile it at the next report).  Returns the suspect flag.
         """
-        ts = entry.ts if coherent_ts is None else coherent_ts
-        suspect = ts < self.tlb
+        suspect = entry.ts < self.tlb
         self.cache.insert(entry, suspect=suspect)
         return suspect
 
     def snapshot(self) -> dict[str, float]:
-        """Deterministic counters for campaign serialisation."""
+        """Deterministic counters for campaign serialisation (a simulated
+        cell's clients share one :class:`MetricSet`)."""
+        counters = self.metrics.counters
+
+        def count(name: str) -> float:
+            counter = counters.get(name)
+            return counter.value if counter is not None else 0.0
+
         return {
             "tlb": self.tlb,
-            "epoch_purges": float(self.epoch_purges),
-            "lagged_reports": float(self.lagged_reports),
-            "missed_reports": float(self.missed_reports),
-            "duplicate_reports": float(self.duplicate_reports),
-            "tlb_uploads": float(self.tlb_uploads),
-            "check_uploads": float(self.check_uploads),
+            "epoch_purges": count(EPOCH_PURGES),
+            "lagged_reports": count(ROAM_LAGGED_REPORTS),
+            "missed_reports": count(IR_GAPS),
+            "duplicate_reports": count(IR_DUPLICATES),
+            "tlb_uploads": count(TLB_UPLOADS),
+            "check_uploads": count(CHECKS_SENT),
             "cache_len": float(len(self.cache)),
             "full_drops": float(self.cache.full_drops),
             "invalidations": float(self.cache.invalidations),

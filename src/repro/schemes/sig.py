@@ -74,11 +74,14 @@ class SIGClientPolicy(ClientPolicy):
         self.params = params
         self.client_id = client_id
         self._saved = None
+        self._saved_at = 0.0
 
     def on_report(self, ctx, report) -> ClientOutcome:
-        if self._saved is None:
-            # First report ever: no baseline to difference against.  The
-            # cache is empty at simulation start, so nothing is at risk.
+        if self._saved is None or ctx.tlb < self._saved_at:
+            # No baseline to difference against: the first report ever
+            # (the cache is empty at simulation start, so nothing is at
+            # risk), or a reboot lost the cache the saved signatures
+            # certified (Tlb fell behind them).
             ctx.cache.drop_all()
             ctx.cache.certify(report.timestamp)
         else:
@@ -88,7 +91,7 @@ class SIGClientPolicy(ClientPolicy):
             inv = report.diagnose(ctx.cache.item_ids(), self._saved)
             apply_invalidation(ctx.cache, inv, report.timestamp)
         self._saved = report.combined
-        ctx.tlb = report.timestamp
+        self._saved_at = ctx.tlb = report.timestamp
         return ClientOutcome.READY
 
 

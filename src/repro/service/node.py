@@ -148,6 +148,7 @@ class CacheNode:
         self._tasks: List["asyncio.Task[None]"] = []
         self._materializers: Dict[int, Materializer] = {}
         self._last_report_at: Optional[float] = None
+        self._validation_watchdog_armed = False
         self._started = False
         self.served_stale = 0
 
@@ -217,11 +218,15 @@ class CacheNode:
             if sub.dropped > self.metrics.get("ir.shed"):
                 self.metrics.incr("ir.shed", sub.dropped - self.metrics.get("ir.shed"))
             if not self.state.is_live:
-                # The feed is back: reports missed while down are
-                # expected — run the scheme's reconnect path, then let
-                # this very report salvage (or honestly purge) the cache.
-                self.session.reconnect(now)
                 self.metrics.incr("ir.reconnects")
+                if self.state.state is NodeState.DISCONNECTED:
+                    # The feed is back: reports missed while down are
+                    # expected — run the scheme's reconnect path, then let
+                    # this very report salvage (or honestly purge) the
+                    # cache.  While SALVAGING the feed never stopped: a
+                    # reconnect there would reset the scheme's upload
+                    # latch and re-upload on every report.
+                    self.session.reconnect(now)
             outcome = self.session.offer_report(report, now)
             self.metrics.incr(f"ir.{outcome.value}")
             if outcome is SessionOutcome.READY:
@@ -230,7 +235,11 @@ class CacheNode:
             elif outcome is SessionOutcome.PENDING:
                 self.state.to(NodeState.SALVAGING, now, reason="salvage in flight")
                 self._ready.clear()
-                self._spawn(self._validation_watchdog(), name="validation-watchdog")
+                if not self._validation_watchdog_armed:
+                    self._validation_watchdog_armed = True
+                    self._spawn(
+                        self._validation_watchdog(), name="validation-watchdog"
+                    )
 
     async def _watchdog(self) -> None:
         interval = self.params.broadcast_interval
@@ -256,20 +265,28 @@ class CacheNode:
                 # judges against.
 
     async def _validation_watchdog(self) -> None:
+        """One timer for every pending episode, armed once: a fresh
+        episode beginning while it sleeps restarts the timing instead of
+        stacking a second timer (and a second stream of re-uploads)."""
         timeout = self.config.validation_timeout
         if timeout is None:
             timeout = 2.0 * self.params.broadcast_interval
-        while self.session.pending:
-            await self.clock.sleep(timeout)
-            if not self.session.pending:
-                return
-            now = self.clock.now()
-            self.metrics.incr("validation.timeouts")
-            if not self.session.validation_timeout(now):
-                # The scheme gave up: cache dropped, resync at next report.
-                self.state.to(NodeState.LIVE, now, reason="salvage abandoned")
-                self._ready.set()
-                return
+        session = self.session
+        try:
+            while session.pending:
+                episode = session.episode
+                await self.clock.sleep(timeout)
+                if not session.pending or session.episode != episode:
+                    continue
+                now = self.clock.now()
+                self.metrics.incr("validation.timeouts")
+                if not session.validation_timeout(now):
+                    # The scheme gave up: cache dropped, resync at next report.
+                    self.state.to(NodeState.LIVE, now, reason="salvage abandoned")
+                    self._ready.set()
+                    return
+        finally:
+            self._validation_watchdog_armed = False
 
     # -- uplink callbacks (invoked synchronously by the scheme policy) -----
 
@@ -277,7 +294,9 @@ class CacheNode:
         self.metrics.incr("uplink.tlb")
         self._spawn(self._push_tlb(tlb), name="tlb-upload")
 
-    def _on_policy_send_check(self, entries: object) -> None:
+    def _on_policy_send_check(
+        self, entries: object, size_bits: Optional[float]
+    ) -> None:
         self.metrics.incr("uplink.check")
         pairs = [
             (int(item), float(ts))
@@ -312,8 +331,7 @@ class CacheNode:
             self.metrics.incr("uplink.check_failures")
             return
         now = self.clock.now()
-        if self.session.pending:
-            self.session.validity_reply(list(reply.invalid_items), reply.certified_at)
+        if self.session.validity_reply(list(reply.invalid_items), reply.certified_at):
             self.metrics.incr("uplink.check_replies")
             self.state.to(NodeState.LIVE, now, reason="validity reply applied")
             self._ready.set()

@@ -10,8 +10,12 @@ the inter-query gap is a disconnection (during which every report is
 missed) instead of think time.  This per-cycle reading is the one
 consistent with the paper's absolute throughput levels (see DESIGN.md).
 
-The client is also the scheme's *client context*: policies call
-``send_tlb`` / ``send_check_request`` / ``note_cache_drop`` on it.
+The protocol itself runs in one :class:`~repro.schemes.ClientSession`
+(report intake, validity replies, validation timeouts, the reconnect,
+promote, hand-off and crash resets), which is also the scheme's policy
+context.  The client is transport around it: it charges energy, sends
+the uplink messages the session asks for, and wakes the query loop on
+the session's verdict.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from ..des import Environment, Event
 from ..des.monitor import MetricSet
 from ..net import Channel, Message, MessageKind, SERVER_ID
 from ..reports.sizes import checking_upload_bits, nack_upload_bits, tlb_upload_bits
-from ..schemes.base import ClientOutcome
+from ..schemes.session import ClientSession, SessionOutcome
 from . import metrics as m
 from .energy import ENERGY_RX, ENERGY_TX
 
@@ -32,7 +36,9 @@ from .energy import ENERGY_RX, ENERGY_TX
 _IR = MessageKind.INVALIDATION_REPORT
 _VALIDITY = MessageKind.VALIDITY_REPORT
 _DATA = MessageKind.DATA_ITEM
-_READY = ClientOutcome.READY
+_READY = SessionOutcome.READY
+_PENDING = SessionOutcome.PENDING
+_LAGGED = SessionOutcome.LAGGED
 
 
 class MobileClient:
@@ -62,7 +68,6 @@ class MobileClient:
         #: Which cell's base station this client is associated with.
         self.cell_id = cell_id
         self.params = params
-        self.policy = policy
         self.query_pattern = query_pattern
         self.downlink = downlink
         self.uplink = uplink
@@ -71,37 +76,8 @@ class MobileClient:
         self.query_log = query_log
         self.timeseries = timeseries
         self.cache = ClientCache(params.cache_capacity)
-
-        #: Last-heard report timestamp (the paper's ``Tlb``).  Clients
-        #: start coherent: at t=0 the (empty) cache matches the database.
-        self.tlb: float = 0.0
         self.connected = True
-        self._query_active = False
-        self._validation_pending = False
-        self._validation_epoch = 0
         self._watchdog_armed = False
-        #: Timestamp of the last report this client *decoded* while
-        #: listening (None right after a reconnection, when a gap is
-        #: expected rather than evidence of loss).  Drives missed-report
-        #: detection under fault injection.
-        self._last_report_heard: Optional[float] = 0.0
-        #: Timestamp of the last report *applied*, for repetition-coding
-        #: dedup: a second copy of the same report must be counted and
-        #: discarded, never re-run through the policy (re-applying an
-        #: uncovered report would wrongly escalate the adaptive schemes'
-        #: ask-once salvage protocol to a full cache drop).
-        self._last_report_applied: Optional[float] = None
-        #: Server incarnation epoch of the last report applied.  A report
-        #: carrying a different epoch (or a timeline regression) means
-        #: the server restarted and the history behind our ``Tlb`` is
-        #: gone — the epoch state machine in :meth:`_on_downlink` purges.
-        self._report_epoch = 0
-        #: Cell whose epoch timeline ``_report_epoch`` belongs to.  None
-        #: right after a handoff: the first report heard in the new cell
-        #: adopts its ``(cell, epoch)`` pair without purging — protocol
-        #: timestamps are global, so certifications travel with the
-        #: client (see docs/PROTOCOLS.md).
-        self._report_cell: Optional[int] = cell_id
         #: Roaming hook installed by the multi-cell model (None at N=1 —
         #: an attribute test per wake-up, nothing more).  Called with
         #: ``(client, now)`` when the client wakes from a disconnection.
@@ -124,14 +100,9 @@ class MobileClient:
         self._m_cache_hits = bind(m.CACHE_HITS)
         self._m_cache_misses = bind(m.CACHE_MISSES)
         self._m_stale_hits = bind(m.STALE_HITS)
-        self._m_cache_drops = bind(m.CACHE_DROPS)
         self._m_disconnections = bind(m.DISCONNECTIONS)
         self._m_uplink_validation_bits = bind(m.UPLINK_VALIDATION_BITS)
         self._m_uplink_request_bits = bind(m.UPLINK_REQUEST_BITS)
-        self._m_tlb_uploads = bind(m.TLB_UPLOADS)
-        self._m_checks_sent = bind(m.CHECKS_SENT)
-        self._m_ir_duplicates = bind(m.IR_DUPLICATES)
-        self._m_ir_gaps = bind(m.IR_GAPS)
         self._m_energy_tx = bind(ENERGY_TX)
         self._m_energy_rx = bind(ENERGY_RX)
         self._m_latency_tally = metrics.bind_tally(m.QUERY_LATENCY)
@@ -161,18 +132,33 @@ class MobileClient:
         #: doze (None with aggregation off — one attribute test per doze).
         self._pool = pool
         self._resumed = resume is not None
+        # Clients start coherent: at t=0 the cache matches the database.
+        tlb, report_cell, report_epoch = 0.0, cell_id, 0
         if resume is not None:
             # Promoted from the population pool: start mid-doze with the
             # reconstructed stratum cache; :meth:`wake_from_pool` then
             # runs the ordinary reconnect transition.
             self.cache = resume.cache
-            self.tlb = resume.tlb
-            self._report_epoch = resume.report_epoch
-            self._report_cell = resume.report_cell
+            tlb = resume.tlb
+            report_cell, report_epoch = resume.report_cell, resume.report_epoch
             self._clock_rate = resume.clock_rate
             self._clock_skew = resume.clock_skew
             self.connected = False
-            self._last_report_heard = None
+        la = params.loss_adaptation
+        self.session = ClientSession(
+            policy,
+            self.cache,
+            params,
+            metrics=metrics,
+            send_tlb=self._send_tlb,
+            send_check_request=self._send_check_request,
+            note_cache_drop=bind(m.CACHE_DROPS).add,
+            on_gap=self._send_ir_nack if la is not None and la.nack else None,
+            start_tlb=tlb,
+            cell=report_cell,
+            epoch=report_epoch,
+        )
+        self._offer_report = self.session.offer_report
 
         self._ir_channel = ir_channel
         downlink.attach(self._on_downlink, dest=client_id, listening=resume is None)
@@ -186,51 +172,40 @@ class MobileClient:
         state = "up" if self.connected else "down"
         return f"<MobileClient {self.client_id} {state} tlb={self.tlb}>"
 
-    # -- scheme-facing context API ----------------------------------------------
-
     @property
-    def is_idle(self) -> bool:
-        """True when neither a query nor a validation is in flight."""
-        return not self._query_active and not self._validation_pending
+    def tlb(self) -> float:
+        """The session's last-heard report timestamp (the paper's ``Tlb``)."""
+        return self.session.tlb
 
-    def send_tlb(self, tlb: float):
-        """Upload the last-heard timestamp (adaptive schemes)."""
-        size = tlb_upload_bits(self.params.timestamp_bits)
-        self._m_uplink_validation_bits.add(size)
-        self._m_tlb_uploads.add()
-        self._charge_tx(size)
+    # -- uplink for the session ------------------------------------------------
+
+    def _upload(self, kind: MessageKind, size_bits: float, payload):
+        """Charge the radio and send one message to the server."""
+        self._m_energy_tx.add(self._tx_nj_per_bit * size_bits)
         self.uplink.send(
             Message(
-                kind=MessageKind.TLB_UPLOAD,
-                size_bits=size,
+                kind=kind,
+                size_bits=size_bits,
                 src=self.client_id,
                 dest=SERVER_ID,
-                payload=tlb,
+                payload=payload,
             )
         )
 
-    def send_check_request(self, entries, size_bits: Optional[float] = None):
+    def _send_tlb(self, tlb: float):
+        """Upload the last-heard timestamp (adaptive schemes)."""
+        size = tlb_upload_bits(self.params.timestamp_bits)
+        self._m_uplink_validation_bits.add(size)
+        self._upload(MessageKind.TLB_UPLOAD, size, tlb)
+
+    def _send_check_request(self, entries, size_bits: Optional[float]):
         """Upload cached (item, timestamp) pairs for validity checking."""
         if size_bits is None:
             size_bits = checking_upload_bits(
                 len(entries), self.params.db_size, self.params.timestamp_bits
             )
         self._m_uplink_validation_bits.add(size_bits)
-        self._m_checks_sent.add()
-        self._charge_tx(size_bits)
-        self.uplink.send(
-            Message(
-                kind=MessageKind.CHECK_REQUEST,
-                size_bits=size_bits,
-                src=self.client_id,
-                dest=SERVER_ID,
-                payload=list(entries),
-            )
-        )
-
-    def note_cache_drop(self):
-        """Metrics hook for full cache discards."""
-        self._m_cache_drops.add()
+        self._upload(MessageKind.CHECK_REQUEST, size_bits, list(entries))
 
     # -- chaos-facing API (repro.chaos.ChaosInjector) ---------------------------
 
@@ -254,13 +229,9 @@ class MobileClient:
         non-suspect against ``tlb = 0`` and is coherent at serve time).
         """
         self.cache = ClientCache(self.params.cache_capacity)
-        self.tlb = 0.0
-        self._last_report_heard = None
-        self._last_report_applied = None
-        self._validation_pending = False
         # The policy's per-episode latches must not outlive the reboot
         # (a pre-crash checking upload's reply must not be awaited).
-        self.policy.on_reconnect(self, now)
+        self.session.reboot(self.cache, now)
         self._fire_ready()
 
     # -- roaming (driven by repro.sim.multicell.MultiCellModel) -----------------
@@ -293,9 +264,7 @@ class MobileClient:
                 self._on_downlink, dest=self.client_id, listening=self.connected
             )
         self.cell_id = cell_id
-        self._report_cell = None
-        self._last_report_applied = None
-        self._last_report_heard = None
+        self.session.hand_off()
 
     # -- population pool (driven by repro.sim.population) -----------------------
 
@@ -312,13 +281,7 @@ class MobileClient:
             self._roam(self, now)
         self.connected = True
         self._set_listening(True)
-        self._validation_pending = False
-        # Reports missed while pooled are expected, not wireless loss.
-        self._last_report_heard = None
-        self.policy.on_promote(self, now)
-
-    def _charge_tx(self, bits: float):
-        self._m_energy_tx.add(self._tx_nj_per_bit * bits)
+        self.session.promote(now)
 
     def _charge_rx(self, bits: float):
         self._m_energy_rx.add(self._rx_nj_per_bit * bits)
@@ -344,86 +307,29 @@ class MobileClient:
             return
         if msg.kind is _IR:
             # Hottest branch in the cell (every listener, every tick):
-            # charge inline and read the dedup property once.
+            # charge inline and act on the session's verdict.
             self._m_energy_rx.add(self._rx_nj_per_bit * msg.size_bits)
-            report = msg.payload
-            # Every report's dedup_key IS its timestamp (reports.base);
-            # the direct read skips a property call per listener.
-            report_ts = report.timestamp
-            prev_applied = self._last_report_applied
-            if report_ts == prev_applied:
-                # A repetition-coded copy of a report already processed:
-                # count the discard (the radio still listened) and stop.
-                self._m_ir_duplicates.add()
-                return
-            epoch = report.epoch
-            if self._report_cell is None:
-                # First report after a handoff: adopt the new cell's
-                # (cell, epoch) identity without purging.  Protocol
-                # timestamps are global, so everything certified under
-                # the old cell stays certified — the coverage checks
-                # below judge it against this cell's history honestly.
-                self._report_cell = report.cell
-                self._report_epoch = epoch
-            elif epoch != self._report_epoch or report.cell != self._report_cell or (
-                prev_applied is not None and report_ts < prev_applied
-            ):
-                # The server restarted under us (a timeline regression is
-                # the same symptom, detected belt-and-braces): everything
-                # we certified against the old incarnation's history is
-                # void.  Purge via the scheme (default: full drop), then
-                # resynchronise Tlb to the new timeline so this very
-                # report certifies the emptied cache.
-                self.metrics.counter(m.EPOCH_PURGES).add()
-                self.policy.on_epoch_change(self, self._report_epoch, epoch, now)
-                self._report_cell = report.cell
-                self._report_epoch = epoch
-                self._validation_pending = False
-                self._last_report_heard = None
-                self.tlb = report_ts
-            if report_ts < self.tlb:
-                # A lagging cell: the roamer's Tlb already certifies past
-                # this report's horizon, so applying it would regress
-                # knowledge (and wrongly purge).  Skip it; queries may
-                # proceed unless an unreconciled fetch needs a report.
-                self.metrics.counter(m.ROAM_LAGGED_REPORTS).add()
-                if not self.cache.unreconciled:
-                    self._fire_ready()
-                return
-            self._last_report_applied = report_ts
-            # Missed-report detection, inlined: a decoded report one
-            # interval after the previous one (the overwhelmingly common
-            # case) needs no gap analysis.
-            last = self._last_report_heard
-            self._last_report_heard = report_ts
-            if last is not None and round(
-                (report_ts - last) / self.params.broadcast_interval
-            ) > 1:
-                self._on_report_gap(report_ts, last, now)
-            outcome = self.policy.on_report(self, report)
+            outcome = self._offer_report(msg.payload, now)
             if outcome is _READY:
-                self._validation_pending = False
                 waiter = self._ready_waiters
                 if waiter is not None:
                     self._ready_waiters = None
                     waiter.succeed()
-            else:
-                if not self._validation_pending:
-                    self._validation_pending = True
-                    self._validation_epoch += 1
+            elif outcome is _PENDING:
                 self._arm_validation_watchdog()
+            elif outcome is _LAGGED and not self.cache.unreconciled:
+                # A lagging cell: Tlb already certifies past this report,
+                # so queries may proceed unless an unreconciled fetch
+                # needs a report.
+                self._fire_ready()
         elif msg.kind is _VALIDITY and msg.dest == self.client_id:
-            if not self._validation_pending:
-                # A reply to a check from a previous connection episode
-                # (we dozed after uploading and woke before its delivery).
-                # Applying it would certify state it never validated —
-                # in particular it would clear suspect marks; drop it.
-                return
-            self._charge_rx(msg.size_bits)
             invalid, certified_at = msg.payload
-            self.policy.on_validity_reply(self, invalid, certified_at)
-            self._validation_pending = False
-            self._fire_ready()
+            # The session drops a reply to a check from a previous
+            # connection episode (we dozed after uploading and woke
+            # before its delivery).
+            if self.session.validity_reply(invalid, certified_at):
+                self._charge_rx(msg.size_bits)
+                self._fire_ready()
         elif msg.kind is _DATA:
             payload = msg.payload
             if payload.get("pushed"):
@@ -448,20 +354,6 @@ class MobileClient:
             self._charge_rx(msg.size_bits)
             self.metrics.counter(m.IR_CORRUPTED).add()
 
-    def _on_report_gap(self, report_ts: float, last: float, now: float):
-        """Missed-report handling: reports arrive at every ``i * L``, so
-        a decoded report more than one interval past the previous one —
-        while this client was listening throughout — means the wireless
-        hop ate reports.  (The no-gap common case is screened inline in
-        :meth:`_on_downlink`.)"""
-        interval = self.params.broadcast_interval
-        n_missed = int(round((report_ts - last) / interval)) - 1
-        self._m_ir_gaps.add(n_missed)
-        la = self.params.loss_adaptation
-        if la is not None and la.nack:
-            self._send_ir_nack(n_missed)
-        self.policy.on_missed_reports(self, n_missed, now)
-
     def _send_ir_nack(self, n_missed: int):
         """Upload a loss hint: *n_missed* reports provably lost on the air.
 
@@ -473,16 +365,7 @@ class MobileClient:
         self._m_uplink_validation_bits.add(size)
         self.metrics.counter(m.NACK_BITS).add(size)
         self.metrics.counter(m.NACKS_SENT).add()
-        self._charge_tx(size)
-        self.uplink.send(
-            Message(
-                kind=MessageKind.IR_NACK,
-                size_bits=size,
-                src=self.client_id,
-                dest=SERVER_ID,
-                payload=n_missed,
-            )
-        )
+        self._upload(MessageKind.IR_NACK, size, n_missed)
 
     def _on_pushed_item(self, msg: Message, payload: dict):
         """Publishing mode: refresh or prefetch a broadcast item.
@@ -505,10 +388,8 @@ class MobileClient:
         if not interested:
             return
         self._charge_rx(msg.size_bits)
-        coherent_ts = payload["coherent_ts"]
-        self.cache.insert(
-            CacheEntry(item=item, version=payload["version"], ts=coherent_ts),
-            suspect=coherent_ts < self.tlb,
+        self.session.insert_fetched(
+            CacheEntry(item=item, version=payload["version"], ts=payload["coherent_ts"])
         )
         self.metrics.counter(m.PUBLISH_REFRESHES).add()
         if waiter is not None:
@@ -535,7 +416,7 @@ class MobileClient:
             self.connected = False
             self._set_listening(False)
             self._m_disconnections.add()
-            self.policy.on_disconnect(self, env.now)
+            self.session.disconnect(env.now)
             doze = (
                 self._disc_stream.exponential(params.disconnect_time_mean)
                 * self._clock_rate
@@ -557,10 +438,7 @@ class MobileClient:
                 self._roam(self, env.now)
             self.connected = True
             self._set_listening(True)
-            self._validation_pending = False
-            # Reports missed while dozing are expected, not wireless loss.
-            self._last_report_heard = None
-            self.policy.on_reconnect(self, env.now)
+            self.session.reconnect(env.now)
         else:
             # Locally timed waits run on the (possibly drifting) local
             # clock; rate 1.0 multiplies out bit-identically.
@@ -588,7 +466,6 @@ class MobileClient:
             elif (yield from self._inter_query_gap()):
                 # Absorbed into the population pool: this actor is done.
                 return
-            self._query_active = True
             started = env.now
             self._m_queries_generated.add()
             # Listen to the next invalidation report before answering
@@ -618,7 +495,6 @@ class MobileClient:
                         misses=params.items_per_query - hits,
                     )
                 )
-            self._query_active = False
 
     def _access_item(self, item: int):
         """Serve one item access; returns 1 for a cache hit, 0 for a miss."""
@@ -630,7 +506,9 @@ class MobileClient:
             if (
                 self.params.track_staleness
                 and self.update_log is not None
-                and self.update_log.updated_in(item, after=entry.ts, up_to=self.tlb)
+                and self.update_log.updated_in(
+                    item, after=entry.ts, up_to=self.session.tlb
+                )
             ):
                 self._m_stale_hits.add()
                 if self.params.strict_staleness:
@@ -646,9 +524,9 @@ class MobileClient:
                         entry_version=entry.version,
                         entry_ts=entry.ts,
                         effective_ts=self.cache.effective_ts(entry),
-                        tlb=self.tlb,
+                        tlb=self.session.tlb,
                         certified_floor=self.cache.certified_floor,
-                        epoch=self._report_epoch,
+                        epoch=self.session.report_identity[1],
                         now=self.env.now,
                         update_times=self.update_log.updates_of(item),
                     )
@@ -662,29 +540,18 @@ class MobileClient:
             # query (counted in client.fetch_failures) — but the query
             # itself terminates instead of hanging forever.
             return 0
-        coherent_ts = payload["coherent_ts"]
         # A fetch whose response crossed a report boundary carries a value
-        # older than the client's knowledge horizon; mark it suspect so
-        # the scheme reconciles it at the next report.
-        self.cache.insert(
-            CacheEntry(item=item, version=payload["version"], ts=coherent_ts),
-            suspect=coherent_ts < self.tlb,
+        # older than the client's knowledge horizon; the session marks it
+        # suspect so the scheme reconciles it at the next report.
+        self.session.insert_fetched(
+            CacheEntry(item=item, version=payload["version"], ts=payload["coherent_ts"])
         )
         return 0
 
     def _send_data_request(self, item: int):
         size = self.params.control_message_bits
         self._m_uplink_request_bits.add(size)
-        self._charge_tx(size)
-        self.uplink.send(
-            Message(
-                kind=MessageKind.DATA_REQUEST,
-                size_bits=size,
-                src=self.client_id,
-                dest=SERVER_ID,
-                payload=item,
-            )
-        )
+        self._upload(MessageKind.DATA_REQUEST, size, item)
 
     def _backoff_delay(self, attempt: int) -> float:
         """Timeout for *attempt* (0-based): exponential with +-jitter."""
@@ -746,41 +613,34 @@ class MobileClient:
     def _validation_watchdog(self):
         """Timeout + bounded retries around a pending validation.
 
-        Each timeout asks the policy to re-issue its upload
-        (``on_validation_timeout``); once retries are exhausted — or the
-        policy cannot retry — the client degrades gracefully: drop the
-        cache (an empty cache is trivially consistent), release the
-        stalled query, and let the next report resynchronise ``tlb``.
+        Each timeout asks the session to re-issue its upload; once
+        retries are exhausted — or the policy cannot retry — the session
+        gives up (drops the cache, resynchronises at the next report) and
+        the stalled query is released.
         """
         env = self.env
+        session = self.session
         try:
-            while self._validation_pending and self.connected:
+            while session.pending and self.connected:
                 # One inner pass per validation episode; a fresh episode
                 # beginning while we sleep restarts the timing.
-                epoch = self._validation_epoch
+                episode = session.episode
                 attempt = 0
                 while True:
                     yield env.sleep(self._backoff_delay(min(attempt, 8)))
                     if (
-                        not self._validation_pending
-                        or self._validation_epoch != epoch
+                        not session.pending
+                        or session.episode != episode
                         or not self.connected
                     ):
                         break
                     attempt += 1
                     self.metrics.counter(m.VALIDATION_TIMEOUTS).add()
-                    if (
-                        attempt <= self.params.max_retries
-                        and self.policy.on_validation_timeout(self, env.now)
-                    ):
+                    if attempt > self.params.max_retries:
+                        session.give_up(env.now)
+                    elif session.validation_timeout(env.now):
                         self.metrics.counter(m.RETRIES).add()
                         continue
-                    self.cache.drop_all()
-                    self.note_cache_drop()
-                    # Tell the policy its in-flight exchange is dead (the
-                    # reconnect hook is exactly this reset).
-                    self.policy.on_reconnect(self, env.now)
-                    self._validation_pending = False
                     self._fire_ready()
                     return
         finally:

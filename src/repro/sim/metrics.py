@@ -7,6 +7,16 @@ from typing import Dict
 
 from ..des.monitor import MetricSet
 
+# Counted by the client protocol core; re-exported under the same names.
+from ..schemes.session import (
+    CHECKS_SENT as CHECKS_SENT,
+    EPOCH_PURGES as EPOCH_PURGES,
+    IR_DUPLICATES as IR_DUPLICATES,
+    IR_GAPS as IR_GAPS,
+    ROAM_LAGGED_REPORTS as ROAM_LAGGED_REPORTS,
+    TLB_UPLOADS as TLB_UPLOADS,
+)
+
 # Counter names (kept in one place so tests and analysis agree).
 QUERIES_GENERATED = "queries.generated"
 QUERIES_ANSWERED = "queries.answered"
@@ -21,8 +31,6 @@ DOWNLINK_IR_BITS = "downlink.ir_bits"
 DOWNLINK_DATA_BITS = "downlink.data_bits"
 DOWNLINK_VALIDITY_BITS = "downlink.validity_bits"
 DATA_COALESCED = "data.coalesced"
-TLB_UPLOADS = "adaptive.tlb_uploads"
-CHECKS_SENT = "checking.requests"
 DISCONNECTIONS = "client.disconnections"
 PUBLISH_ITEMS = "publish.items_pushed"
 PUBLISH_BITS = "publish.bits"
@@ -32,12 +40,10 @@ RETRIES = "client.retries"
 FETCH_TIMEOUTS = "client.fetch_timeouts"
 FETCH_FAILURES = "client.fetch_failures"
 VALIDATION_TIMEOUTS = "client.validation_timeouts"
-IR_GAPS = "client.ir_gaps"                    # reports provably missed
 IR_CORRUPTED = "client.ir_corrupted"          # reports heard but undecodable
 MALFORMED_UPLINK = "server.malformed_uplink"
 DUPLICATE_UPLINK = "server.duplicate_uplink"
 # Loss-adaptive broadcasting (all zero with `loss_adaptation` off).
-IR_DUPLICATES = "client.ir_duplicates"        # repeated-report copies discarded
 NACKS_SENT = "client.ir_nacks"                # gap hints uploaded
 NACK_BITS = "uplink.nack_bits"
 NACKS_RECEIVED = "server.nacks_received"
@@ -49,14 +55,12 @@ SERVER_CRASHES = "chaos.server_crashes"
 SERVER_RESTARTS = "chaos.server_restarts"
 SERVER_DOWNTIME = "chaos.server_downtime_s"
 CLIENT_CRASHES = "chaos.client_crashes"
-EPOCH_PURGES = "chaos.epoch_purges"           # clients reacting to a new epoch
 UPLINK_SHED_CRASHED = "server.uplink_shed_crashed"
 ORACLE_PENDING = "oracle.queries_pending"     # generated - answered at horizon
 ORACLE_LIVENESS_OK = "oracle.liveness_ok"     # 1.0 when the ledger balances
 # Multi-cell roaming + inter-server sync (all zero at N=1 / roaming off).
 ROAM_HANDOFFS = "roam.handoffs"               # voluntary wake-time handoffs
 ROAM_EVACUATIONS = "roam.evacuations"         # handoffs forced by a cell outage
-ROAM_LAGGED_REPORTS = "roam.lagged_reports"   # reports older than the roamer's Tlb
 SYNC_PUSHES = "sync.pushes"                   # eager deltas applied
 SYNC_PULLS = "sync.pulls"                     # pull rounds issued
 SYNC_RETRIES = "sync.retries"                 # pull retransmissions

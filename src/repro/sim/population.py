@@ -382,21 +382,23 @@ class PopulationPool:
             return False
         if doze_seconds < self._min_doze_seconds:
             return False
-        cache = client.cache
-        if cache.unreconciled or client._validation_pending or client._data_waits:
+        session = client.session
+        cache = session.cache
+        if cache.unreconciled or session.pending or client._data_waits:
             return False
         n_hot, n_cold = cache_signature(cache, client.query_pattern)
         now = self.env.now
+        report_cell, report_epoch = session.report_identity
         member = PooledMember(
             self,
             client_id=client.client_id,
             cell_id=client.cell_id,
-            report_cell=client._report_cell,
-            report_epoch=client._report_epoch,
-            tlb_bucket=self.tlb_bucket(client.tlb),
+            report_cell=report_cell,
+            report_epoch=report_epoch,
+            tlb_bucket=self.tlb_bucket(session.tlb),
             n_hot=n_hot,
             n_cold=n_cold,
-            policy=client.policy,
+            policy=session.policy,
             wake_at=now + doze_seconds,
             clock_rate=client._clock_rate,
             clock_skew=client._clock_skew,

@@ -15,7 +15,11 @@ def make_session(scheme="ts", check_log=None, tlb_log=None, **params_kw):
         ClientCache(16),
         params,
         send_tlb=(tlb_log.append if tlb_log is not None else None),
-        send_check_request=(check_log.append if check_log is not None else None),
+        send_check_request=(
+            (lambda entries, size_bits: check_log.append(entries))
+            if check_log is not None
+            else None
+        ),
     )
     return session
 
@@ -47,7 +51,7 @@ def test_duplicate_report_is_discarded():
     r = wreport(20.0)
     assert s.offer_report(r, now=20.0) is SessionOutcome.READY
     assert s.offer_report(r, now=20.5) is SessionOutcome.DUPLICATE
-    assert s.duplicate_reports == 1
+    assert s.snapshot()["duplicate_reports"] == 1
 
 
 def test_first_report_adopts_epoch_without_purge():
@@ -66,7 +70,7 @@ def test_epoch_change_purges_and_resyncs_tlb():
     drops = []
     s._note_drop = lambda: drops.append(1)
     assert s.offer_report(wreport(40.0, epoch=2), now=40.0) is SessionOutcome.READY
-    assert s.epoch_purges == 1
+    assert s.snapshot()["epoch_purges"] == 1
     assert len(s.cache) == 0
     assert s.cache.full_drops == 1
     assert s.report_identity == (0, 2)
@@ -76,7 +80,7 @@ def test_lagged_report_is_skipped():
     s = make_session()
     s.tlb = 100.0  # policy-certified past this publisher's timeline
     assert s.offer_report(wreport(40.0), now=101.0) is SessionOutcome.LAGGED
-    assert s.lagged_reports == 1
+    assert s.snapshot()["lagged_reports"] == 1
     assert s.last_report_applied is None
 
 
@@ -84,7 +88,7 @@ def test_gap_detection_counts_missed_reports():
     s = make_session()
     s.offer_report(wreport(20.0), now=20.0)
     assert s.offer_report(wreport(80.0), now=80.0) is SessionOutcome.READY
-    assert s.missed_reports == 2  # 40 and 60 never arrived
+    assert s.snapshot()["missed_reports"] == 2  # 40 and 60 never arrived
 
 
 def test_reconnect_suppresses_gap_accounting():
@@ -93,7 +97,8 @@ def test_reconnect_suppresses_gap_accounting():
     s.disconnect(21.0)
     s.reconnect(199.0)
     assert s.offer_report(wreport(200.0), now=200.0) is SessionOutcome.READY
-    assert s.missed_reports == 0  # sleeping through reports is not loss
+    # Sleeping through reports is not loss.
+    assert s.snapshot()["missed_reports"] == 0
 
 
 def test_uncovered_report_drops_cache():
@@ -140,7 +145,7 @@ def test_checking_scheme_goes_pending_then_certifies_on_reply():
     r = wreport(500.0, window=200.0)
     assert s.offer_report(r, now=500.0) is SessionOutcome.PENDING
     assert s.pending
-    assert s.check_uploads == 1
+    assert s.snapshot()["check_uploads"] == 1
     assert sorted(checks[0]) == [(1, 20.0), (2, 20.0)]
     s.validity_reply([1], certified_at=500.0)
     assert not s.pending
@@ -171,6 +176,84 @@ def test_validation_timeout_reissues_then_degrades():
     assert len(checks) == 2
 
 
+class _NoRetryPolicy:
+    """Wraps a scheme's client policy; refuses every re-upload."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.reconnects = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def on_validation_timeout(self, ctx, now):
+        return False
+
+    def on_reconnect(self, ctx, now):
+        self.reconnects += 1
+        self.inner.on_reconnect(ctx, now)
+
+
+def test_validation_timeout_degrades_when_the_policy_cannot_retry():
+    checks = []
+    s = make_session("checking", check_log=checks)
+    s.policy = _NoRetryPolicy(s.policy)
+    s.offer_report(wreport(20.0), now=20.0)
+    s.cache.insert(entry(1, 20.0))
+    s.offer_report(wreport(500.0, window=200.0), now=500.0)
+    assert s.pending
+    drops = s.snapshot()["full_drops"]
+    assert s.validation_timeout(540.0) is False
+    assert s.snapshot()["full_drops"] == drops + 1
+    assert len(s.cache) == 0
+    assert not s.pending
+    assert s.policy.reconnects == 1  # the in-flight exchange is reset
+    assert len(checks) == 1  # nothing re-uploaded
+    # The next report resynchronises Tlb over the emptied cache.
+    assert s.offer_report(wreport(520.0, window=200.0), now=520.0) is (
+        SessionOutcome.READY
+    )
+    assert s.tlb == 520.0
+
+
+def test_give_up_after_exhausted_retries_drops_and_clears_pending():
+    checks = []
+    s = make_session("checking", check_log=checks)
+    s.offer_report(wreport(20.0), now=20.0)
+    s.cache.insert(entry(1, 20.0))
+    s.offer_report(wreport(500.0, window=200.0), now=500.0)
+    assert s.validation_timeout(540.0) is True  # one retry
+    episode = s.episode
+    s.give_up(580.0)
+    assert not s.pending
+    assert len(s.cache) == 0
+    assert s.snapshot()["full_drops"] == 1
+    assert len(checks) == 2  # giving up uploads nothing
+    # The checking latch was reset: the next uncovered report starts a
+    # fresh episode rather than waiting on the abandoned reply.
+    s.cache.insert(entry(2, 590.0))
+    assert s.offer_report(wreport(900.0, window=200.0), now=900.0) is (
+        SessionOutcome.PENDING
+    )
+    assert s.episode == episode + 1
+    assert len(checks) == 3
+
+
+def test_pending_episode_counts_once_per_episode():
+    s = make_session("checking")
+    s.offer_report(wreport(20.0), now=20.0)
+    s.cache.insert(entry(1, 20.0))
+    s.offer_report(wreport(500.0, window=200.0), now=500.0)
+    assert s.episode == 1
+    # Further reports while the reply is outstanding stay in episode 1.
+    assert s.offer_report(wreport(520.0, window=200.0), now=520.0) is (
+        SessionOutcome.PENDING
+    )
+    assert s.episode == 1
+    s.reconnect(600.0)
+    assert not s.pending  # a reply to the pre-doze upload is lost
+
+
 def test_adaptive_scheme_uploads_tlb_when_uncovered():
     tlbs = []
     s = make_session("afw", tlb_log=tlbs)
@@ -180,7 +263,7 @@ def test_adaptive_scheme_uploads_tlb_when_uncovered():
     assert outcome is SessionOutcome.PENDING
     assert s.pending
     assert tlbs == [20.0]
-    assert s.tlb_uploads == 1
+    assert s.snapshot()["tlb_uploads"] == 1
     assert len(s.cache) == 1  # salvage deferred, not purged
 
 

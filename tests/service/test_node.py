@@ -5,8 +5,10 @@ import asyncio
 import pytest
 
 from repro.service import (
+    BackendUnavailable,
     CacheNode,
     FetchResult,
+    FlakyBroker,
     InMemoryBackend,
     InMemoryBroker,
     NodeConfig,
@@ -194,6 +196,54 @@ def test_strict_mode_raises_instead_of_serving_stale():
         await _drive_into_double_outage(clock, origin, node)
         with pytest.raises(NodeDegraded):
             await clock.drive(node.get(3))
+        await node.stop()
+
+    run(main())
+
+
+class CheckingDown(InMemoryBackend):
+    """Fetches work; every validity check fails."""
+
+    async def backend_check(self, client_id, entries):
+        raise BackendUnavailable("check service down")
+
+
+def test_one_validation_watchdog_per_pending_episode():
+    """A salvage that cannot complete re-uploads once per timeout from a
+    single timer: the reports that keep arriving while the node is
+    SALVAGING neither stack watchdogs nor trigger uploads of their own."""
+
+    async def main():
+        clock = VirtualClock()
+        ir_outage = OutageSchedule.scripted((50.0, 300.0), name="ir")
+        broker = FlakyBroker(InMemoryBroker(), clock, outage=ir_outage)
+        origin = Origin("checking", PARAMS, clock=clock, broker=broker)
+        node = CacheNode(
+            "checking",
+            PARAMS,
+            backend=CheckingDown(origin),
+            broker=broker,
+            clock=clock,
+            config=NodeConfig(retry=FAST_RETRY, deadline=0.5),
+        )
+        origin_task = await start_all(clock, origin, node)
+        await clock.run_until(45.0)
+        await clock.drive(node.get(3))
+        # The outage outlasts the 200 s window: the first report after
+        # it starts a checking salvage that every later report and
+        # every timeout finds still pending.
+        await clock.run_until(501.0)
+        assert node.session.pending
+        watchdogs = [
+            task
+            for task in asyncio.all_tasks()
+            if task.get_name().endswith("validation-watchdog") and not task.done()
+        ]
+        assert len(watchdogs) <= 1
+        timeouts = node.metrics.get("validation.timeouts")
+        assert timeouts >= 1
+        assert node.metrics.get("uplink.check") == 1 + timeouts
+        origin.stop(), origin_task.cancel()
         await node.stop()
 
     run(main())

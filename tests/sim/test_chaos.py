@@ -196,9 +196,9 @@ class TestEpochDifferential:
         model = SimulationModel(BASE.with_(**RETRY), UNIFORM, "ts")
         model.env.run(until=300.0)
         client = next(
-            c for c in model.clients if c._last_report_applied is not None
+            c for c in model.clients if c.session.last_report_applied is not None
         )
-        applied = client._last_report_applied
+        applied = client.session.last_report_applied
         assert applied > 0.0
         stale_report = WindowReport(
             timestamp=applied - model.params.broadcast_interval,

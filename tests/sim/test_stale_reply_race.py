@@ -39,7 +39,7 @@ class TestStaleReplyIgnored:
         model = make_model()
         client = model.clients[0]
         model.env.run(until=50.0)  # past a couple of reports
-        assert not client._validation_pending
+        assert not client.session.pending
         floor_before = client.cache.certified_floor
         tlb_before = client.tlb
         cached_before = set(client.cache.item_ids())
