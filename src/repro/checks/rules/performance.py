@@ -18,9 +18,10 @@ HOT_MODULE_GLOBS = (
     "repro/des/*.py",
     "repro/net/channel.py",
     "repro/cache/*.py",
-    # The population pool holds one PooledMember per absorbed client —
-    # at megacell scale that is ~10^6 instances, so object layout IS the
-    # memory bound the aggregation layer exists to enforce.
+    # The population pool holds a residue per parked client (a
+    # PooledMember once absorbed or promoted) — at megacell scale that
+    # is ~10^6 residues, so object layout IS the memory bound the
+    # aggregation layer exists to enforce.
     "repro/sim/population.py",
 )
 

@@ -81,6 +81,26 @@ class Environment:
         """Create an event that fires after *delay* simulated seconds."""
         return Timeout(self, delay, value, priority)
 
+    def timeout_at(
+        self, when: float, value: Any = None, priority: int = NORMAL
+    ) -> Event:
+        """Create an event that fires at the absolute simulated time *when*.
+
+        ``timeout(when - now)`` lands at ``now + (when - now)``, which
+        floating-point rounding can put one ulp away from *when*; this
+        schedules *when* itself.  Ties order like :meth:`timeout`, by
+        ``(time, priority, insertion order)``.
+        """
+        now = self._now
+        if when < now:
+            raise ValueError(f"when={when} lies in the past (now={now})")
+        event = Event(self)
+        event._ok = True
+        event._value = value
+        self._eid = eid = self._eid + 1
+        heapq.heappush(self._heap, (when, priority, eid, event))
+        return event
+
     def sleep(self, delay: float) -> float:
         """Fast-lane sleep token: ``yield env.sleep(d)``.
 

@@ -116,12 +116,17 @@ class SimulationModel:
         #: on, absorbed clients leave and promoted ones re-enter (use
         #: :meth:`client_by_id`, not positional indexing).
         self._clients_by_id: Dict[int, MobileClient] = {}
+        #: The one query pattern every client draws from: a pattern is
+        #: the same for every client and never changes after
+        #: construction, and a Zipf pattern holds a ``db_size``-entry CDF.
+        self.query_pattern = workload.query_pattern(params.db_size)
         #: Population-aggregation pool (None with the knob group off —
         #: zero cost, bit-identical to the seed).
         self.population = None
         agg = params.aggregation
+        seeding = False
         if agg is not None:
-            from .population import PopulationPool
+            from .population import PopulationPool, warm_signature
 
             self.population = PopulationPool(
                 self.env,
@@ -131,26 +136,23 @@ class SimulationModel:
                 promote=self._promote_member,
                 release=self._release_client,
             )
+            seeding = agg.start_in_pool > 0.0
+            # Seeded members start with the signature warm_fill would
+            # have produced.
+            n_hot, n_cold = (
+                warm_signature(self.query_pattern, params.cache_capacity)
+                if params.warm_start
+                else (0, 0)
+            )
         for cid in range(params.n_clients):
             cell_id, downlink, uplink, ir_channel = self._client_home(cid)
             if (
-                self.population is not None
+                seeding
                 and cid >= agg.k_exact
-                and agg.start_in_pool > 0.0
                 and self.population.seed_stream.bernoulli(agg.start_in_pool)
             ):
                 # Steady-state initial condition: park this client
-                # mid-doze without ever constructing it.  Its stratum is
-                # the signature warm_fill would have produced.
-                if params.warm_start:
-                    from .population import warm_signature
-
-                    n_hot, n_cold = warm_signature(
-                        workload.query_pattern(params.db_size, cid),
-                        params.cache_capacity,
-                    )
-                else:
-                    n_hot, n_cold = 0, 0
+                # mid-doze without ever constructing it.
                 self.population.seed_parked(cid, cell_id, n_hot, n_cold)
                 continue
             self._clients_by_id[cid] = MobileClient(
@@ -158,7 +160,7 @@ class SimulationModel:
                 client_id=cid,
                 params=params,
                 policy=scheme.make_client_policy(params, cid),
-                query_pattern=workload.query_pattern(params.db_size, cid),
+                query_pattern=self.query_pattern,
                 downlink=downlink,
                 uplink=uplink,
                 metrics=self.metrics,
@@ -206,11 +208,10 @@ class SimulationModel:
         params = self.params
         pool = self.population
         cid = member.client_id
-        pattern = self.workload.query_pattern(params.db_size, cid)
         tlb = pool.bucket_time(member.tlb_bucket)
         cache = rebuild_cache(
             self.streams.stream(f"client-{cid}/pool"),
-            pattern,
+            self.query_pattern,
             params.cache_capacity,
             member.n_hot,
             member.n_cold,
@@ -235,7 +236,7 @@ class SimulationModel:
             client_id=cid,
             params=params,
             policy=policy,
-            query_pattern=pattern,
+            query_pattern=self.query_pattern,
             downlink=downlink,
             uplink=uplink,
             metrics=self.metrics,

@@ -11,11 +11,14 @@ state is collapsed to a stratum key
 
 where the cache signature counts cached items inside/outside the query
 pattern's hot region.  The pool keeps only counts per stratum plus a
-tiny per-member residue (ids, the scheme policy object, a wake time), so
-a dozing client costs ~0 events (the PR 3 ``set_listening`` fast lane)
-*and* ~0 memory.
+tiny per-member residue (ids, the scheme policy object), filed in a
+*wake calendar*: a heap of ``(wake_at, park_seq, residue)`` entries
+behind one kernel event armed at the head's absolute wake time.  A
+parked member therefore costs one calendar entry, not an event, a
+callback list and a kernel heap entry, and a member seeded at build
+time stays a 4-tuple until it wakes.
 
-When a member's seeded reconnect fires it is *promoted* back into a full
+When a member's wake comes due it is *promoted* back into a full
 client: a cache consistent with its stratum is rebuilt
 (:func:`rebuild_cache` — every entry is an honest ``Tlb``-time copy:
 version = the item's version at ``Tlb``, timestamp = ``Tlb``), and the
@@ -37,7 +40,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..cache import CacheEntry, ClientCache
 from ..des import Environment
@@ -48,6 +52,9 @@ from .workload import AccessPattern
 
 #: A stratum key: (cell, report epoch, Tlb bucket, n_hot, n_cold).
 StratumKey = Tuple[int, int, int, int, int]
+#: A member seeded at build time, until it wakes: (client, cell, n_hot,
+#: n_cold).  Its stratum is ``(cell, 0, 0, n_hot, n_cold)``.
+SeededResidue = Tuple[int, int, int, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,14 +222,13 @@ class ResumeState:
 
 
 class PooledMember:
-    """One absorbed client's residue: ids, stratum, policy, wake time.
+    """One parked client's residue: ids, stratum, policy, wake time.
 
     The scheme policy object rides along because some client policies
     carry cross-episode state (SIG's saved combined signatures); it is
-    tiny compared to the cache the pool sheds.  The member doubles as
-    its own wake callback (appended to a :class:`Timeout`), so a parked
-    client costs exactly one heap entry — the same event the exact
-    model's doze sleep would schedule.
+    tiny compared to the cache the pool sheds.  An absorbed client parks
+    as one of these; a member seeded at build time parks as a bare
+    :data:`SeededResidue` and becomes one only when it is promoted.
     """
 
     __slots__ = (
@@ -237,12 +243,10 @@ class PooledMember:
         "wake_at",
         "clock_rate",
         "clock_skew",
-        "_pool",
     )
 
     def __init__(
         self,
-        pool: "PopulationPool",
         client_id: int,
         cell_id: int,
         report_cell: Optional[int],
@@ -255,7 +259,6 @@ class PooledMember:
         clock_rate: float = 1.0,
         clock_skew: float = 0.0,
     ) -> None:
-        self._pool = pool
         self.client_id = client_id
         self.cell_id = cell_id
         self.report_cell = report_cell
@@ -279,10 +282,6 @@ class PooledMember:
             self.n_cold,
         )
 
-    def __call__(self, event: Any) -> None:
-        """Timeout callback: the seeded reconnect fired — promote."""
-        self._pool._wake(self)
-
     def __repr__(self) -> str:
         return (
             f"<PooledMember {self.client_id} cell={self.cell_id} "
@@ -293,15 +292,24 @@ class PooledMember:
 class PopulationPool:
     """Counts-per-stratum pool of absorbed (long-dozing) clients.
 
-    The pool owns eligibility, stratum accounting and wake scheduling;
+    The pool owns eligibility, stratum accounting and the wake calendar;
     the model owns client construction — it passes ``promote(member,
     now)`` (build + register the full-fidelity client) and
     ``release(client)`` (drop it from the live registry) at wiring time,
     which keeps this module free of the untyped actor surface.
 
     Conservation invariant (pinned by the property suite): live clients
-    + ``residents`` == ``n_clients`` at every instant, and
-    ``seeded + absorbed - promoted == residents``.
+    + ``residents`` == ``n_clients`` at every instant,
+    ``seeded + absorbed - promoted == residents``, and the calendar holds
+    one entry per resident.
+
+    Wake calendar: members wake in ``(wake_at, park order)`` order, each
+    exactly at ``env.now == wake_at``.  A NORMAL-priority kernel event
+    (:meth:`Environment.timeout_at`) is always pending at the head's wake
+    time, and never two at one time.  When one fires it promotes every
+    due member and arms the new head unless an event is already pending
+    there; a member parked ahead of the head arms its own event.  The
+    kernel thus spends one event per distinct wake time that comes due.
     """
 
     __slots__ = (
@@ -314,6 +322,9 @@ class PopulationPool:
         "residents",
         "peak_residents",
         "seed_stream",
+        "calendar",
+        "_armed",
+        "_park_seq",
         "_promote",
         "_release",
         "_bucket_seconds",
@@ -345,6 +356,15 @@ class PopulationPool:
         #: One pool-level stream for build-time seeding draws — parking
         #: 100k members must not materialise 100k per-client generators.
         self.seed_stream = streams.stream("population/seed")
+        #: The wake calendar: a heap of ``(wake_at, park_seq, residue)``,
+        #: one entry per resident.  ``park_seq`` is unique, so entries
+        #: never compare residues.
+        self.calendar: List[
+            Tuple[float, int, Union[PooledMember, SeededResidue]]
+        ] = []
+        #: Times at which an armed kernel event is pending.
+        self._armed: Set[float] = set()
+        self._park_seq = 0
         self._promote = promote
         self._release = release
         interval = params.broadcast_interval
@@ -390,7 +410,6 @@ class PopulationPool:
         now = self.env.now
         report_cell, report_epoch = session.report_identity
         member = PooledMember(
-            self,
             client_id=client.client_id,
             cell_id=client.cell_id,
             report_cell=report_cell,
@@ -403,7 +422,7 @@ class PopulationPool:
             clock_rate=client._clock_rate,
             clock_skew=client._clock_skew,
         )
-        self._park(member, doze_seconds)
+        self._park(member.key, member.wake_at, member)
         self._m_absorbed.add()
         self._release(client)
         return True
@@ -417,36 +436,66 @@ class PopulationPool:
         the per-client streams.
         """
         doze = self.seed_stream.exponential(self.params.disconnect_time_mean)
-        member = PooledMember(
-            self,
-            client_id=client_id,
-            cell_id=cell_id,
-            report_cell=cell_id,
-            report_epoch=0,
-            tlb_bucket=0,
-            n_hot=n_hot,
-            n_cold=n_cold,
-            policy=None,
-            wake_at=self.env.now + doze,
+        self._park(
+            (cell_id, 0, 0, n_hot, n_cold),
+            self.env.now + doze,
+            (client_id, cell_id, n_hot, n_cold),
         )
-        self._park(member, doze)
         self._m_seeded.add()
 
-    def _park(self, member: PooledMember, delay: float) -> None:
-        key = member.key
-        self.strata[key] = self.strata.get(key, 0) + 1
+    def _park(
+        self,
+        key: StratumKey,
+        wake_at: float,
+        residue: Union[PooledMember, SeededResidue],
+    ) -> None:
+        strata = self.strata
+        strata[key] = strata.get(key, 0) + 1
         self.residents += 1
         if self.residents > self.peak_residents:
             self.peak_residents = self.residents
-        # One NORMAL-priority heap entry per member — the same (time,
-        # priority) the exact model's doze sleep would occupy, so wakes
-        # interleave with reports and queries exactly as before.
-        timeout = self.env.timeout(delay)
-        callbacks = timeout.callbacks
-        assert callbacks is not None  # fresh Timeout: not yet processed
-        callbacks.append(member)
+        calendar = self.calendar
+        if not calendar or wake_at < calendar[0][0]:
+            # A new head: the old head's event fires too late for it.
+            self._arm(wake_at)
+        self._park_seq = seq = self._park_seq + 1
+        heappush(calendar, (wake_at, seq, residue))
 
-    def _wake(self, member: PooledMember) -> None:
+    def _arm(self, when: float) -> None:
+        # A NORMAL-priority event at the absolute wake time: the same
+        # (time, priority) the exact model's doze sleep would occupy, so
+        # wakes interleave with reports and queries as that sleep would.
+        callbacks = self.env.timeout_at(when).callbacks
+        assert callbacks is not None  # fresh event: not yet processed
+        callbacks.append(self._on_armed)
+        self._armed.add(when)
+
+    def _on_armed(self, event: Any) -> None:
+        """An armed event fired: promote every due member, re-arm the head."""
+        now = self.env.now
+        self._armed.discard(now)
+        calendar = self.calendar
+        while calendar and calendar[0][0] <= now:
+            self._wake(heappop(calendar)[2], now)
+        if calendar and calendar[0][0] not in self._armed:
+            self._arm(calendar[0][0])
+
+    def _wake(self, residue: Union[PooledMember, SeededResidue], now: float) -> None:
+        if isinstance(residue, PooledMember):
+            member = residue
+        else:
+            client_id, cell_id, n_hot, n_cold = residue
+            member = PooledMember(
+                client_id=client_id,
+                cell_id=cell_id,
+                report_cell=cell_id,
+                report_epoch=0,
+                tlb_bucket=0,
+                n_hot=n_hot,
+                n_cold=n_cold,
+                policy=None,
+                wake_at=now,
+            )
         key = member.key
         count = self.strata[key] - 1
         if count:
@@ -455,4 +504,4 @@ class PopulationPool:
             del self.strata[key]
         self.residents -= 1
         self._m_promoted.add()
-        self._promote(member, self.env.now)
+        self._promote(member, now)

@@ -180,12 +180,12 @@ class Workload:
     #: ``None`` keeps the paper's two-region patterns bit-identical.
     query_zipf_alpha: Optional[float] = None
 
-    def query_pattern(self, n_items: int, client_id: int = 0) -> AccessPattern:
-        """The query pattern for one client.
+    def query_pattern(self, n_items: int) -> AccessPattern:
+        """The query pattern, shared by every client.
 
-        Table 2 gives every client the same hot bounds (items 1..100);
-        *client_id* is accepted for forward compatibility with
-        per-client regions.
+        Table 2 gives every client the same hot bounds (items 1..100),
+        and a pattern never changes after construction, so a model
+        builds one and hands it to all of its clients.
         """
         hot = Region(*self.query_hot) if self.query_hot else None
         return AccessPattern(

@@ -209,3 +209,67 @@ class TestTimeoutFastLane:
         before = env.scheduled_events
         env.run()
         assert env.scheduled_events > before
+
+
+class TestTimeoutAt:
+    def test_fires_exactly_at_when_where_a_relative_delay_misses(self):
+        now, when = 0.2, 0.9
+        # The pair this test exists for: a relative delay rounds away.
+        assert now + (when - now) != when
+        env = Environment()
+        env.run(until=now)
+        fired = []
+        env.timeout_at(when, value="v").callbacks.append(
+            lambda ev: fired.append((env.now, ev.value))
+        )
+        env.run()
+        assert fired == [(when, "v")]
+
+    def test_when_equal_to_now_fires_this_instant(self):
+        env = Environment(initial_time=3.0)
+        event = env.timeout_at(3.0)
+        env.run()
+        assert event.processed and env.now == 3.0
+
+    def test_rejects_a_time_in_the_past(self):
+        env = Environment(initial_time=5.0)
+        with pytest.raises(ValueError, match="past"):
+            env.timeout_at(4.999)
+
+    def test_ties_order_like_timeout(self):
+        """(time, priority, insertion order), mixed freely with timeout()."""
+        env = Environment()
+        seen = []
+
+        def record(ev):
+            seen.append(ev.value)
+
+        env.timeout(2.0, value="t-normal-1").callbacks.append(record)
+        env.timeout_at(2.0, value="at-low", priority=LOW).callbacks.append(record)
+        env.timeout_at(2.0, value="at-normal-2").callbacks.append(record)
+        env.timeout(2.0, value="t-urgent", priority=URGENT).callbacks.append(record)
+        env.timeout(2.0, value="t-normal-3").callbacks.append(record)
+        env.timeout_at(2.0, value="at-high", priority=HIGH).callbacks.append(record)
+        env.timeout_at(1.0, value="at-earlier").callbacks.append(record)
+        env.run()
+        assert seen == [
+            "at-earlier",
+            "t-urgent",
+            "at-high",
+            "t-normal-1",
+            "at-normal-2",
+            "t-normal-3",
+            "at-low",
+        ]
+
+    def test_a_process_can_wait_on_it(self):
+        env = Environment()
+        out = []
+
+        def proc(env):
+            value = yield env.timeout_at(7.5, value="woke")
+            out.append((env.now, value))
+
+        env.process(proc(env))
+        env.run()
+        assert out == [(7.5, "woke")]

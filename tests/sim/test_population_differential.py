@@ -11,16 +11,17 @@ inside the run) and the liveness ledger.
 What is exact vs tolerance-level, and why
 -----------------------------------------
 A pooled member's per-client RNG streams resume exactly where the
-absorbed actor left them, and its seeded wake occupies the same (time,
-priority) heap slot its doze sleep would have — so divergence comes only
-from (a) the reconstructed cache being a fresh stratum-consistent draw
-rather than the literal cache, and (b) re-attachment moving the client
-to the end of the broadcast delivery order.  Both perturb *which* items
-miss and *when* salvage fires, not the protocol: throughput and uplink
-cost shift by O(pool churn / population), which the tolerances below
-bound.  The adaptive schemes' salvage traffic (AFW especially) is the
-most sensitive — a promoted client's conservative ``Tlb`` can turn a
-window-hit into an uplink round-trip — hence the looser uplink bound.
+absorbed actor left them, and the pool's wake calendar promotes it at
+exactly the instant, and at the priority, its doze sleep would have
+returned — so divergence comes only from (a) the reconstructed cache
+being a fresh stratum-consistent draw rather than the literal cache,
+and (b) re-attachment moving the client to the end of the broadcast
+delivery order.  Both perturb *which* items miss and *when* salvage
+fires, not the protocol: throughput and uplink cost shift by O(pool
+churn / population), which the tolerances below bound.  The adaptive
+schemes' salvage traffic (AFW especially) is the most sensitive — a
+promoted client's conservative ``Tlb`` can turn a window-hit into an
+uplink round-trip — hence the looser uplink bound.
 
 Aggregation *off* is not tested here: tests/sim/test_golden.py pins that
 configuration bit-identical to the seed for all 8 schemes.

@@ -8,7 +8,8 @@ knob setting and workload — exactly the kind of claim Hypothesis is for:
   ledger balances (``seeded + absorbed - promoted == residents``), even
   while clients doze, wake, and hand off between cells.
 * **Strata well-formedness** — stratum counts are strictly positive
-  (empty strata are removed eagerly) and sum to the resident count.
+  (empty strata are removed eagerly) and sum to the resident count, and
+  the wake calendar holds one entry per resident.
 * **Reconstructibility** — a cache rebuilt from a stratum signature has
   exactly that signature, honest ``Tlb``-time entries, and a matching
   certification floor, for any signature the pool can produce.
@@ -42,6 +43,8 @@ def _pool_invariants(model):
     assert ledger == pool.residents
     assert all(count > 0 for count in pool.strata.values())
     assert sum(pool.strata.values()) == pool.residents
+    # The wake calendar holds exactly one entry per resident.
+    assert len(pool.calendar) == pool.residents
 
 
 @settings(max_examples=10)

@@ -95,3 +95,37 @@ def test_workload_plumbs_query_zipf_alpha():
     # The update side stays uniform: Table 2 updates are uniform and the
     # knob deliberately touches queries only.
     assert wl.update_pattern(n_items=N).zipf_alpha is None
+
+
+def test_a_pooled_zipf_cell_builds_one_query_pattern(monkeypatch):
+    """Exact clients, seeded members and promotions share one pattern:
+    a Zipf pattern holds a ``db_size``-entry CDF, so one per client made
+    a pooled Zipf cell's build scale with clients x db_size."""
+    from repro.sim import AggregationConfig, SimulationModel, SystemParams
+
+    built = []
+    init = AccessPattern.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(AccessPattern, "__init__", counting_init)
+    params = SystemParams(
+        simulation_time=1500.0,
+        n_clients=60,
+        db_size=300,
+        buffer_fraction=0.05,
+        think_time_mean=40.0,
+        update_interarrival_mean=80.0,
+        disconnect_prob=0.5,
+        disconnect_time_mean=300.0,
+        seed=4,
+        aggregation=AggregationConfig(k_exact=5, start_in_pool=0.5),
+    )
+    model = SimulationModel(params, Workload(name="ZIPF", query_zipf_alpha=0.9), "aaw")
+    result = model.run()
+    assert result.counter("pool.seeded") > 0
+    assert result.counter("pool.promoted") > 0
+    assert [p for p in built if p.zipf_alpha is not None] == [model.query_pattern]
+    assert all(c.query_pattern is model.query_pattern for c in model.clients)
