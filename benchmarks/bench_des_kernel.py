@@ -203,11 +203,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_kernel.json")
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--force-backend",
-        action="store_true",
-        help="overwrite a baseline recorded under a different kernel backend",
-    )
     args = parser.parse_args(argv)
     from perf_baseline import baseline_envelope, write_baseline
 
@@ -217,7 +212,7 @@ def main(argv=None) -> int:
         results,
         config={"scale": args.scale, "repeats": args.repeats},
     )
-    print(f"wrote {write_baseline(args.out, payload, args.force_backend)}")
+    print(f"wrote {write_baseline(args.out, payload)}")
     for name, row in results.items():
         print(f"  {name:>28s}  cpu {row['cpu_s']:.4f}s  {row['per_sec_cpu']:.0f}/s")
     return 0

@@ -146,11 +146,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_full_cell.json")
     parser.add_argument("--horizon-scale", type=float, default=1.0)
     parser.add_argument("--repeats", type=int, default=2)
-    parser.add_argument(
-        "--force-backend",
-        action="store_true",
-        help="overwrite a baseline recorded under a different kernel backend",
-    )
     args = parser.parse_args(argv)
     from perf_baseline import baseline_envelope, write_baseline
 
@@ -167,7 +162,7 @@ def main(argv=None) -> int:
             "cells": CONFIGS,
         },
     )
-    print(f"wrote {write_baseline(args.out, payload, args.force_backend)}")
+    print(f"wrote {write_baseline(args.out, payload)}")
     for config, per_scheme in results.items():
         total = per_scheme["_total"]
         print(

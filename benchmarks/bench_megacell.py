@@ -188,11 +188,6 @@ def main(argv=None) -> int:
         choices=list(CONFIGS),
         help="subset of cells to run (CI runs megacell-100k only)",
     )
-    parser.add_argument(
-        "--force-backend",
-        action="store_true",
-        help="overwrite a baseline recorded under a different kernel backend",
-    )
     args = parser.parse_args(argv)
     from perf_baseline import baseline_envelope, write_baseline
 
@@ -209,7 +204,7 @@ def main(argv=None) -> int:
             "scheme": "aaw",
         },
     )
-    print(f"wrote {write_baseline(args.out, payload, args.force_backend)}")
+    print(f"wrote {write_baseline(args.out, payload)}")
     for config, row in results.items():
         print(
             f"  {config:>14s}  {row['n_clients']:>9,d} clients  "

@@ -291,11 +291,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_multicell.json")
     parser.add_argument("--horizon-scale", type=float, default=1.0)
     parser.add_argument("--workers", default="auto")
-    parser.add_argument(
-        "--force-backend",
-        action="store_true",
-        help="overwrite a baseline recorded under a different kernel backend",
-    )
     args = parser.parse_args(argv)
     from perf_baseline import baseline_envelope, measure, write_baseline
 
@@ -316,7 +311,7 @@ def main(argv=None) -> int:
             "sweep_wall_s": round(wall, 3),
         },
     )
-    print(f"wrote {write_baseline(args.out, payload, args.force_backend)}")
+    print(f"wrote {write_baseline(args.out, payload)}")
     unsafe = [
         key
         for section in ("storm", "cooperative_salvage")

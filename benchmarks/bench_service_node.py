@@ -276,11 +276,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--schemes", nargs="+", default=list(SCHEMES), help="schemes per scenario"
     )
-    parser.add_argument(
-        "--force-backend",
-        action="store_true",
-        help="overwrite a baseline recorded under a different kernel backend",
-    )
     args = parser.parse_args(argv)
     from perf_baseline import baseline_envelope, write_baseline
 
@@ -321,7 +316,7 @@ def main(argv=None) -> int:
             },
         },
     )
-    print(f"wrote {write_baseline(args.out, payload, args.force_backend)}")
+    print(f"wrote {write_baseline(args.out, payload)}")
     return 0
 
 

@@ -18,14 +18,8 @@ import platform
 import sys
 import time
 
-from repro._purity import kernel_backend
-
 #: Bump when the JSON layout changes incompatibly.
 SCHEMA_VERSION = 1
-
-
-class BackendMismatch(RuntimeError):
-    """Refusing to overwrite a baseline recorded under another backend."""
 
 
 def measure(fn, *args, repeats: int = 3):
@@ -59,7 +53,6 @@ def baseline_envelope(kind: str, results: dict, config: dict) -> dict:
             "implementation": platform.python_implementation(),
             "machine": platform.machine(),
             "system": platform.system(),
-            "kernel_backend": kernel_backend(),
         },
         "results": results,
         "notes": (
@@ -70,32 +63,8 @@ def baseline_envelope(kind: str, results: dict, config: dict) -> dict:
     }
 
 
-def write_baseline(path: str, payload: dict, force_backend: bool = False) -> str:
-    """Write *payload* as pretty JSON; returns the path for logging.
-
-    Compiled and interpreted kernels are bit-identical in behaviour but
-    not in speed, so comparing their timings silently corrupts the perf
-    trajectory.  If *path* already holds a baseline recorded under a
-    different ``kernel_backend``, the write is refused with
-    :class:`BackendMismatch` unless *force_backend* is set (every bench
-    CLI exposes ``--force-backend`` for the deliberate case).  Baselines
-    predating the backend stamp are treated as ``pure``.
-    """
-    if not force_backend:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                existing = json.load(fh)
-        except (OSError, ValueError):
-            existing = None
-        if isinstance(existing, dict):
-            old = existing.get("host", {}).get("kernel_backend", "pure")
-            new = payload.get("host", {}).get("kernel_backend", "pure")
-            if old != new:
-                raise BackendMismatch(
-                    f"{path} was recorded under kernel_backend={old!r} but this "
-                    f"run is {new!r}; timings are not comparable across backends. "
-                    "Pass --force-backend to overwrite anyway."
-                )
+def write_baseline(path: str, payload: dict) -> str:
+    """Write *payload* as pretty JSON; returns the path for logging."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")

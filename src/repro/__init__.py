@@ -19,13 +19,6 @@ Quickstart::
     print(result.summary())
 """
 
-from . import _purity
-
-if _purity.pure_python_forced():
-    # Must run before any strict-tier import: reroute compiled extension
-    # modules back to their .py sources.
-    _purity.install()
-
 from .net import FaultConfig
 from .sim import (
     HOTCOLD,

@@ -65,13 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the rule catalog and exit",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parse files with N worker processes (default: serial)",
-    )
-    parser.add_argument(
         "--callgraph-dump",
         action="store_true",
         help="print the resolved project call graph (caller -> callee) and exit",
@@ -92,13 +85,13 @@ def _select_rules(spec: Optional[str]) -> List[Rule]:
     return rules
 
 
-def _dump_callgraph(paths: Sequence[str], jobs: Optional[int]) -> int:
+def _dump_callgraph(paths: Sequence[str]) -> int:
     """Debugging aid behind ``--callgraph-dump``: print resolved edges."""
     from .callgraph import build_call_graph
     from .engine import ModuleInfo, Project, _collect_files, _parse_files
 
     try:
-        parsed = _parse_files(_collect_files(paths), jobs)
+        parsed = _parse_files(_collect_files(paths))
     except FileNotFoundError as exc:
         print(f"error: no such path: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
@@ -124,7 +117,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CLEAN
 
     if args.callgraph_dump:
-        return _dump_callgraph(args.paths, args.jobs)
+        return _dump_callgraph(args.paths)
 
     try:
         rules = _select_rules(args.select)
@@ -144,9 +137,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_USAGE
 
     try:
-        findings = run_checks(
-            args.paths, rules=rules, baseline=baseline, jobs=args.jobs
-        )
+        findings = run_checks(args.paths, rules=rules, baseline=baseline)
     except FileNotFoundError as exc:
         print(f"error: no such path: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE

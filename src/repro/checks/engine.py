@@ -253,7 +253,7 @@ def _collect_files(paths: Sequence[str]) -> List[Path]:
 
 
 def _parse_one(path_str: str) -> Union[ModuleInfo, Finding]:
-    """Read and parse one file (top-level so worker processes can run it)."""
+    """Read and parse one file; a syntax error becomes a CHK000 finding."""
     text = Path(path_str).read_text(encoding="utf-8")
     try:
         return ModuleInfo.from_source(path_str, text)
@@ -266,24 +266,9 @@ def _parse_one(path_str: str) -> Union[ModuleInfo, Finding]:
         )
 
 
-def _parse_files(
-    files: Sequence[Path], jobs: Optional[int]
-) -> List[Union[ModuleInfo, Finding]]:
-    """Parse *files*, fanning out over processes when ``jobs > 1``.
-
-    ``ModuleInfo`` (slots of str + AST) pickles cleanly; ``map`` keeps
-    input order so the run is byte-identical to the serial path.
-    """
-    paths = [str(f) for f in files]
-    if jobs is not None and jobs > 1 and len(paths) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(_parse_one, paths, chunksize=8))
-        except (OSError, ImportError):  # no fork/spawn available: fall back
-            pass
-    return [_parse_one(p) for p in paths]
+def _parse_files(files: Sequence[Path]) -> List[Union[ModuleInfo, Finding]]:
+    """Parse *files* in order."""
+    return [_parse_one(str(f)) for f in files]
 
 
 #: Code for ``checks: ignore`` comments that no longer suppress anything.
@@ -333,20 +318,17 @@ def run_checks(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
     baseline: Optional[Baseline] = None,
-    jobs: Optional[int] = None,
 ) -> List[Finding]:
     """Run *rules* (default: all) over *paths*; return surviving findings.
 
     Suppressed (``checks: ignore[CODE]`` on the finding's line) and
     baselined findings are filtered out.  Unparseable files surface as
-    ``CHK000`` findings rather than crashing the run.  ``jobs`` parallelises
-    the parse phase over processes (analysis itself stays serial — rules
-    share the in-process project/call-graph).
+    ``CHK000`` findings rather than crashing the run.
     """
     active = list(rules) if rules is not None else all_rules()
     modules: List[ModuleInfo] = []
     findings: List[Finding] = []
-    for parsed in _parse_files(_collect_files(paths), jobs):
+    for parsed in _parse_files(_collect_files(paths)):
         if isinstance(parsed, ModuleInfo):
             modules.append(parsed)
         else:

@@ -193,7 +193,9 @@ class ClientSession:
             or (last_applied is not None and report_ts < last_applied)
         ):
             # Server restart (or timeline regression — same symptom):
-            # certified history is void.  Scheme purges, Tlb resyncs.
+            # certified history is void.  Scheme purges, Tlb resyncs,
+            # and the floor falls with it: a floor above Tlb would let a
+            # fetch stamped in between land unsuspected and certified.
             self.metrics.counter(EPOCH_PURGES).add()
             self.policy.on_epoch_change(self, self._epoch, epoch, now)
             self._cell = report.cell
@@ -201,6 +203,7 @@ class ClientSession:
             self.pending = False
             self._last_heard = None
             self.tlb = report_ts
+            self.cache.certified_floor = min(self.cache.certified_floor, report_ts)
         if report_ts < self.tlb:
             # Applying it would regress knowledge (and wrongly purge).
             self.metrics.counter(ROAM_LAGGED_REPORTS).add()

@@ -46,12 +46,7 @@ class SWRConfig:
 
 
 class ServiceEntry(CacheEntry):
-    """A cache entry plus the served value and the two SWR deadlines.
-
-    ``CacheEntry`` is deliberately left uncompiled by the mypyc build
-    (see setup.py) precisely so service-tier subclasses like this one
-    can extend it.
-    """
+    """A cache entry plus the served value and the two SWR deadlines."""
 
     __slots__ = ("value", "fetched_at", "fresh_until", "expires_at", "refreshing")
 

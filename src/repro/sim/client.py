@@ -504,8 +504,7 @@ class MobileClient:
             if self.timeseries is not None:
                 self.timeseries["hits"].record(self.env.now)
             if (
-                self.params.track_staleness
-                and self.update_log is not None
+                self.update_log is not None
                 and self.update_log.updated_in(
                     item, after=entry.ts, up_to=self.session.tlb
                 )

@@ -41,7 +41,7 @@ class SimulationModel:
         self.streams = RandomStreams(params.seed)
         self.metrics = MetricSet()
         self.db = Database(params.db_size)
-        self.update_log = UpdateLog() if params.track_staleness else None
+        self.update_log = UpdateLog()
         self.query_log = QueryLog() if params.collect_query_log else None
         self.timeseries = (
             {

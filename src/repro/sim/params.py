@@ -50,8 +50,6 @@ class SystemParams:
     seed: int = 0
     #: Serve concurrent requests for the same item with one broadcast.
     coalesce_data_responses: bool = True
-    #: Record per-query staleness ground truth (cheap; keep on).
-    track_staleness: bool = True
     #: Start clients with stationary-LRU cache contents, coherent with the
     #: untouched t=0 database.  Removes cold-start bias so short runs
     #: measure the steady state the paper's 100 000 s runs reach.
@@ -131,7 +129,6 @@ class SystemParams:
     #: Promote staleness tracking into a hard safety oracle: any stale
     #: cache hit raises :class:`repro.chaos.StalenessViolation` with a
     #: full diagnostic trace instead of merely incrementing the counter.
-    #: Requires ``track_staleness``.
     strict_staleness: bool = False
 
     def __post_init__(self):
@@ -245,8 +242,6 @@ class SystemParams:
                     "population aggregation cannot run with cell-outage chaos "
                     "(evacuation cannot reach pooled members)"
                 )
-        if self.strict_staleness and not self.track_staleness:
-            raise ValueError("strict_staleness requires track_staleness")
 
     # -- derived quantities ---------------------------------------------------
 

@@ -169,16 +169,3 @@ def test_callgraph_dump_prints_edges_and_exits_clean(tree, capsys):
 def test_callgraph_dump_missing_path_is_usage_error(capsys):
     assert main(["/no/such/tree-anywhere", "--callgraph-dump"]) == EXIT_USAGE
     assert "no such path" in capsys.readouterr().err
-
-
-def test_jobs_flag_matches_serial_run(tree, capsys):
-    root = tree(
-        {
-            "repro/sim/bad.py": "import random\n",
-            "repro/sim/worse.py": "import random\n",
-        }
-    )
-    assert main([str(root), "--no-baseline", "--jobs", "2"]) == EXIT_FINDINGS
-    parallel_out = capsys.readouterr().out
-    assert main([str(root), "--no-baseline"]) == EXIT_FINDINGS
-    assert parallel_out == capsys.readouterr().out

@@ -117,10 +117,10 @@ def test_chk001_not_judged_when_the_named_rule_did_not_run():
 # ------------------------------------------------- corpus-wide invariants
 
 
-def _seeded_corpus_findings(jobs=None):
+def _seeded_corpus_findings():
     paths = [str(FIXTURES / name) for name in _SEEDED]
     rules = [get_rule(c) for c in _SEEDED_CODES]
-    return run_checks(paths, rules=rules, jobs=jobs)
+    return run_checks(paths, rules=rules)
 
 
 def test_new_codes_round_trip_through_a_baseline(tmp_path):
@@ -134,10 +134,6 @@ def test_new_codes_round_trip_through_a_baseline(tmp_path):
     paths = [str(FIXTURES / name) for name in _SEEDED]
     rules = [get_rule(c) for c in _SEEDED_CODES]
     assert run_checks(paths, rules=rules, baseline=reloaded) == []
-
-
-def test_parallel_parse_matches_serial_findings():
-    assert _seeded_corpus_findings(jobs=2) == _seeded_corpus_findings()
 
 
 def test_whole_program_pass_on_src_stays_inside_the_ci_budget():

@@ -240,20 +240,15 @@ def test_a_reply_certifies_entries_it_never_checked(scheme):
     assert not trace.servable_violations()
 
 
-@pytest.mark.parametrize("scheme", ["ts", "checking", "gcore", "afw", "aaw"])
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: a timeline regression lowers Tlb below the "
-    "cache's certification floor, so a fetch landing in between is "
-    "neither suspect nor re-checked by the window report's fast path",
-)
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_a_regressed_timeline_certifies_a_fetch_it_never_checked(scheme):
     trace = Trace(scheme)
     # The fetch leaves the origin at 11, its item changes at 12 and the
     # report at 20 is heard while the fetch is still in flight.  The
-    # replayed report at 10 then resets Tlb to 10 but leaves the floor at
-    # 20, so the fetch (ts 11 >= Tlb) lands unsuspected, and the report at
-    # 30 lists the update at 12 but certifies through the floor at 20.
+    # replayed report at 10 resets Tlb to 10.  Were the floor left at
+    # 20, the fetch (ts 11 >= Tlb) would land unsuspected and the report
+    # at 30, which lists the update at 12, would certify it through that
+    # floor.
     steps = ops("heard", "request", "update", "heard", "regress", "deliver", "heard")
     for op, n in steps:
         trace.step(op, n)

@@ -89,7 +89,6 @@ class TestKnobValidation:
             SystemParams(
                 chaos=ChaosConfig(cell_crashes_at=((1, 100.0),)),
                 uplink_timeout=60.0,
-                track_staleness=True,
             )
 
     def test_single_cell_roaming_needs_no_retry_layer(self):

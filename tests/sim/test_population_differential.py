@@ -52,7 +52,6 @@ BASE = dict(
     disconnect_time_mean=600.0,
     # The safety oracle is armed for every run in the campaign: a stale
     # answer in either model aborts the test with a conviction trace.
-    track_staleness=True,
     strict_staleness=True,
 )
 
