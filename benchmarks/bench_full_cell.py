@@ -25,7 +25,10 @@ flake on a slow runner.  See docs/PERFORMANCE.md.
 from repro.net import FaultConfig
 from repro.sim import SystemParams, UNIFORM, run_simulation
 
-SCHEMES = ("ts", "bs", "afw", "aaw", "checking")
+#: All 8 registered schemes, in the paper's order, so every scheme's
+#: cost is on record and every scheme passes ``check_cell``'s gates on
+#: both cells.
+SCHEMES = ("ts", "at", "sig", "bs", "checking", "gcore", "afw", "aaw")
 
 #: Keyword bases for the two benchmark cells; ``simulation_time`` is
 #: multiplied by the horizon scale.

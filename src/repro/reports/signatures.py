@@ -16,12 +16,18 @@ Our implementation derives subset membership and item signatures from
 deterministic hashes, so server and client agree without communication
 (both sides know the scheme seed), exactly like sharing the generator
 polynomial in the original proposal.
+
+A deployment hashes its whole membership table once, at construction,
+and a report diffs each distinct saved baseline once, however many
+listeners hold it.  Neither result outlives the object that owns it: a
+cache shared across deployments would make a fresh build look cheaper
+than it is.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .base import Invalidation, Report, ReportKind, UpdateLog
 from .sizes import DEFAULT_TIMESTAMP_BITS, signature_report_bits
@@ -83,6 +89,10 @@ class SignatureScheme:
         diagnose_threshold: float = 0.9,
         seed: int = 0,
     ) -> None:
+        if n_subsets < 1:
+            raise ValueError("n_subsets must be >= 1")
+        if signature_bits < 1:
+            raise ValueError("signature_bits must be >= 1")
         if not 0 < membership <= 1:
             raise ValueError("membership must be in (0, 1]")
         if not 0 <= diagnose_threshold <= 1:
@@ -93,25 +103,42 @@ class SignatureScheme:
         self.membership = membership
         self.diagnose_threshold = diagnose_threshold
         self.seed = seed
-        self._subsets_cache: Dict[int, List[int]] = {}
+        self._members = self._membership_table()
+
+    def _membership_table(self) -> List[List[int]]:
+        """``subsets_of_item`` for every item, hashing each subset's
+        ``member/<seed>/<s>/`` prefix once instead of once per item."""
+        threshold = int(self.membership * 2**32)
+        prefixes = [
+            hashlib.blake2b(f"member/{self.seed}/{s}/".encode(), digest_size=8)
+            for s in range(self.n_subsets)
+        ]
+        from_bytes = int.from_bytes
+        table: List[List[int]] = []
+        for item in range(self.n_items):
+            key = str(item).encode()
+            row = []
+            for s, prefix in enumerate(prefixes):
+                h = prefix.copy()
+                h.update(key)
+                # The low 32 bits of the little-endian _hash64 value.
+                if from_bytes(h.digest()[:4], "little") < threshold:
+                    row.append(s)
+            table.append(row)
+        return table
 
     def subsets_of(self, item: int) -> List[int]:
-        """Cached subset membership of *item*."""
-        try:
-            return self._subsets_cache[item]
-        except KeyError:
-            subs = subsets_of_item(item, self.n_subsets, self.membership, self.seed)
-            self._subsets_cache[item] = subs
-            return subs
+        """Subset membership of *item* (equal to :func:`subsets_of_item`)."""
+        return self._members[item]
 
     def combine(self, versions: Sequence[int]) -> List[int]:
         """Compute all combined signatures for the given item versions."""
         combined = [0] * self.n_subsets
-        for item in range(self.n_items):
+        for item, subs in enumerate(self._members):
             sig = item_signature(
                 item, int(versions[item]), self.signature_bits, self.seed
             )
-            for s in self.subsets_of(item):
+            for s in subs:
                 combined[s] ^= sig
         return combined
 
@@ -148,7 +175,12 @@ class IncrementalCombiner:
 
 
 class SignatureReport(Report):
-    """One broadcast of combined signatures."""
+    """One broadcast of combined signatures.
+
+    ``combined`` is an immutable tuple: clients keep it by reference as
+    their saved baseline, and :meth:`diagnose` memoizes its diff per
+    baseline object on the strength of that.
+    """
 
     kind = ReportKind.SIGNATURES
 
@@ -163,10 +195,13 @@ class SignatureReport(Report):
             raise ValueError("wrong number of combined signatures")
         self.timestamp = float(timestamp)
         self.scheme = scheme
-        self.combined = list(combined)
+        self.combined: Tuple[int, ...] = tuple(combined)
         self.size_bits = signature_report_bits(
             scheme.n_subsets, scheme.signature_bits, timestamp_bits
         )
+        # id(saved) -> (saved, changed subsets).  Each entry holds its
+        # baseline, so the id cannot be reused while the entry lives.
+        self._diffs: Dict[int, Tuple[Sequence[int], Set[int]]] = {}
 
     def __repr__(self) -> str:
         return f"<SignatureReport T={self.timestamp} m={len(self.combined)}>"
@@ -190,8 +225,19 @@ class SignatureReport(Report):
         An item is dropped when the fraction of its subsets that mismatch
         exceeds the scheme's threshold (items in no subset are dropped
         conservatively — the report carries no information about them).
+
+        The diff against a tuple baseline is computed once per report
+        (every listener that heard the same earlier report holds the same
+        tuple).  Any other sequence may be mutated between calls and is
+        diffed afresh.
         """
-        changed = self.diff_subsets(saved)
+        memo = self._diffs.get(id(saved))
+        if memo is None:
+            memo = (saved, self.diff_subsets(saved))
+            if type(saved) is tuple:
+                self._diffs[id(saved)] = memo
+        changed = memo[1]
+        threshold = self.scheme.diagnose_threshold
         to_drop: Set[int] = set()
         for item in cached_items:
             subs = self.scheme.subsets_of(item)
@@ -199,9 +245,9 @@ class SignatureReport(Report):
                 to_drop.add(item)
                 continue
             mismatches = sum(1 for s in subs if s in changed)
-            if mismatches / len(subs) > self.scheme.diagnose_threshold:
+            if mismatches / len(subs) > threshold:
                 to_drop.add(item)
-        return Invalidation.drop(to_drop)
+        return Invalidation.drop(to_drop) if to_drop else Invalidation.nothing()
 
     def invalidation_for(self, tlb: float) -> Invalidation:
         raise NotImplementedError(

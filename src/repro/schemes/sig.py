@@ -90,6 +90,8 @@ class SIGClientPolicy(ClientPolicy):
             drop_unreconciled(ctx.cache)
             inv = report.diagnose(ctx.cache.item_ids(), self._saved)
             apply_invalidation(ctx.cache, inv, report.timestamp)
+        # By reference: every listener of this report shares the one
+        # immutable tuple, so the next report diffs it once for them all.
         self._saved = report.combined
         self._saved_at = ctx.tlb = report.timestamp
         return ClientOutcome.READY

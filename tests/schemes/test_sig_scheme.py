@@ -1,6 +1,10 @@
 """Unit tests for the SIG scheme policies."""
 
+from collections import Counter
+
+from repro.reports import SignatureReport
 from repro.schemes import ClientOutcome, SIGClientPolicy, SIGServerPolicy
+from repro.sim import UNIFORM, SystemParams, run_simulation
 
 
 def make_server(params, db, **kw):
@@ -52,3 +56,39 @@ class TestSIGClient:
         ctx.cache_items((5, 20.0), (9, 20.0))
         policy.on_report(ctx, server.build_report(None, 1000.0))
         assert 5 in ctx.cache and 9 in ctx.cache
+
+
+def test_each_saved_baseline_is_diffed_once_per_report(monkeypatch):
+    """Listeners that heard the same earlier report hold the same saved
+    signatures; a report diffs that baseline once, not once per listener.
+    The spies keep every report and baseline alive, so ids stay unique."""
+    diffs, diagnosed = [], []
+    real_diff = SignatureReport.diff_subsets
+    real_diagnose = SignatureReport.diagnose
+
+    def spy_diff(report, saved):
+        diffs.append((report, saved))
+        return real_diff(report, saved)
+
+    def spy_diagnose(report, cached_items, saved):
+        diagnosed.append((report, saved))
+        return real_diagnose(report, cached_items, saved)
+
+    monkeypatch.setattr(SignatureReport, "diff_subsets", spy_diff)
+    monkeypatch.setattr(SignatureReport, "diagnose", spy_diagnose)
+    params = SystemParams(
+        simulation_time=1_000.0,
+        n_clients=100,
+        db_size=1_000,
+        disconnect_prob=0.1,
+        disconnect_time_mean=200.0,
+        seed=1,
+    )
+    run_simulation(params, UNIFORM, "sig")
+
+    def ids(pairs):
+        return Counter((id(report), id(saved)) for report, saved in pairs)
+
+    distinct = ids(diagnosed)
+    assert len(diagnosed) > len(distinct)  # listeners do share baselines
+    assert ids(diffs) == Counter(dict.fromkeys(distinct, 1))
