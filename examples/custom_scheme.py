@@ -4,9 +4,10 @@
 Implements "periodic-BS": a server that broadcasts the Bit-Sequences
 report every k-th interval unconditionally and plain windows otherwise —
 no uplink at all, like BS, but with a fraction of its downlink cost.
-(The client reuses the stock adaptive logic minus the Tlb upload: if
-neither report kind covers it, it waits for the next BS; we bound the
-wait by the period k.)
+(The client is the stock one, which applies any report that covers its
+``Tlb``; it overrides only ``on_uncovered``: instead of dropping its
+cache when a window does not cover it, it waits for the next BS, which
+comes within k periods.)
 
 This is the paper's design space: AFW broadcasts BS *on demand*;
 periodic-BS broadcasts it *on a clock*.  The example registers the new
@@ -22,13 +23,10 @@ from repro.reports import ReportKind
 from repro.reports.bitseq import build_bitseq_report
 from repro.reports.window import build_window_report
 from repro.schemes import (
-    ClientOutcome,
     ClientPolicy,
     Scheme,
     ServerPolicy,
-    apply_invalidation,
-    apply_window_report,
-    reconcile_with_bitseq,
+    SessionOutcome,
     register_scheme,
 )
 
@@ -37,8 +35,7 @@ class PeriodicBSServer(ServerPolicy):
     """Window reports, except every k-th broadcast is a full BS report."""
 
     def __init__(self, params, db, every: int = 10):
-        self.params = params
-        self.db = db
+        super().__init__(params, db)
         self.every = every
         self._tick = 0
 
@@ -58,29 +55,12 @@ class PeriodicBSServer(ServerPolicy):
 class PeriodicBSClient(ClientPolicy):
     """Use whatever covers; otherwise wait for the scheduled BS."""
 
-    def __init__(self, params, client_id):
-        self.params = params
-        self.client_id = client_id
-
-    def on_report(self, ctx, report):
-        t = report.timestamp
+    def on_uncovered(self, ctx, report):
         if report.kind is ReportKind.BIT_SEQUENCES:
-            inv = report.invalidation_for(ctx.tlb)
-            if inv.covered:
-                reconcile_with_bitseq(ctx.cache, report)
-                apply_invalidation(ctx.cache, inv, t)
-            else:
-                ctx.cache.drop_all()
-                ctx.note_cache_drop()
-                ctx.cache.certify(t)
-            ctx.tlb = t
-            return ClientOutcome.READY
-        if report.covers(ctx.tlb):
-            apply_window_report(ctx.cache, report)
-            ctx.tlb = t
-            return ClientOutcome.READY
-        # Not covered: stay pending until the scheduled BS arrives.
-        return ClientOutcome.PENDING
+            # Not even BS reaches back to Tlb: drop the cache and resync.
+            return super().on_uncovered(ctx, report)
+        # Stay pending until the scheduled BS arrives.
+        return SessionOutcome.PENDING
 
 
 PERIODIC_BS = Scheme(

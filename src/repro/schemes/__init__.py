@@ -2,9 +2,8 @@
 
 from .aaw import AAW_SCHEME, AAWServerPolicy
 from .afw import AFW_SCHEME, AFWServerPolicy, AdaptiveClientPolicy
-from .at import AT_SCHEME, ATClientPolicy, ATServerPolicy
+from .at import AT_SCHEME, ATServerPolicy
 from .base import (
-    ClientOutcome,
     ClientPolicy,
     PendingTlbBuffer,
     Scheme,
@@ -15,9 +14,9 @@ from .base import (
     reconcile_with_amnesic,
     reconcile_with_bitseq,
 )
-from .bs import BS_SCHEME, BSClientPolicy, BSServerPolicy
+from .bs import BS_SCHEME, BSServerPolicy
 from .checking import CHECKING_SCHEME, CheckingClientPolicy, CheckingServerPolicy
-from .gcore import GCORE_SCHEME, GCOREClientPolicy, GCOREServerPolicy, group_of
+from .gcore import GCORE_SCHEME, GCOREClientPolicy, group_of
 from .loss_adaptive import (
     LossAdaptationConfig,
     LossAdaptiveController,
@@ -33,7 +32,7 @@ from .registry import (
 )
 from .session import ClientSession, SessionOutcome
 from .sig import SIG_SCHEME, SIGClientPolicy, SIGServerPolicy
-from .ts_nocheck import TS_SCHEME, TSClientPolicy, TSServerPolicy
+from .ts_nocheck import TS_SCHEME, TSServerPolicy
 
 __all__ = [
     "AAW_SCHEME",
@@ -41,22 +40,18 @@ __all__ = [
     "AFW_SCHEME",
     "AFWServerPolicy",
     "AT_SCHEME",
-    "ATClientPolicy",
     "ATServerPolicy",
     "AdaptiveClientPolicy",
     "BS_SCHEME",
-    "BSClientPolicy",
     "BSServerPolicy",
     "CHECKING_SCHEME",
     "CheckingClientPolicy",
     "CheckingServerPolicy",
-    "ClientOutcome",
     "ClientPolicy",
     "ClientSession",
     "EVALUATED_SCHEMES",
     "GCORE_SCHEME",
     "GCOREClientPolicy",
-    "GCOREServerPolicy",
     "LossAdaptationConfig",
     "LossAdaptiveController",
     "LossEstimator",
@@ -68,7 +63,6 @@ __all__ = [
     "ServerPolicy",
     "SessionOutcome",
     "TS_SCHEME",
-    "TSClientPolicy",
     "TSServerPolicy",
     "apply_invalidation",
     "apply_window_report",

@@ -10,76 +10,27 @@ both throughput and downlink in Figures 5-14.
 
 from __future__ import annotations
 
-from ..reports.bitseq import (
-    bs_salvage_threshold,
-    build_bitseq_report,
-)
 from ..reports.sizes import bitseq_report_bits
-from ..reports.window import (
-    WindowReportCache,
-    build_enlarged_window_report,
-    build_window_report,
-    enlarged_report_size,
-)
-from .base import PendingTlbBuffer, Scheme, ServerPolicy, effective_window_seconds
-from .afw import AdaptiveClientPolicy
+from ..reports.window import build_enlarged_window_report, enlarged_report_size
+from .afw import AdaptiveClientPolicy, AFWServerPolicy
+from .base import Scheme
 
 
-class AAWServerPolicy(ServerPolicy):
+class AAWServerPolicy(AFWServerPolicy):
     """Figure 4's server: window / enlarged window / BS, whichever is
     smallest while still covering every salvageable requester."""
 
     def __init__(self, params, db):
-        self.params = params
-        self.db = db
-        self.tlb_buffer = PendingTlbBuffer(
-            getattr(params, "max_pending_tlbs", None)
-        )
-        self.bs_broadcasts = 0
+        super().__init__(params, db)
         self.enlarged_broadcasts = 0
-        self._report_cache = WindowReportCache(db)
 
-    def on_tlb(self, ctx, client_id: int, tlb: float, now: float):
-        self.tlb_buffer.add(client_id, tlb)
-
-    def build_report(self, ctx, now: float):
-        params = self.params
-        window_seconds = effective_window_seconds(ctx, params)
-        salvageable = []
-        pending = self.tlb_buffer.drain()
-        if pending:
-            # Tlbs inside the (possibly loss-widened) window ride the
-            # regular report; only older ones need stretching/BS.
-            window_start = now - window_seconds
-            # db.origin_time is the history floor (restart instant after
-            # a crash): pre-crash Tlbs are unsalvageable by construction.
-            threshold = bs_salvage_threshold(self.db, origin=self.db.origin_time)
-            salvageable = [t for t in pending if threshold <= t <= window_start]
-        if salvageable:
-            back_to = min(salvageable)
-            _count, enlarged_bits = enlarged_report_size(
-                self.db, back_to, params.timestamp_bits
-            )
-            bs_bits = bitseq_report_bits(self.db.n_items, params.timestamp_bits)
-            if enlarged_bits <= bs_bits:
-                self.enlarged_broadcasts += 1
-                return build_enlarged_window_report(
-                    self.db, now, back_to, params.timestamp_bits
-                )
-            self.bs_broadcasts += 1
-            return build_bitseq_report(
-                self.db,
-                now,
-                origin=self.db.origin_time,
-                timestamp_bits=params.timestamp_bits,
-            )
-        return build_window_report(
-            self.db,
-            now,
-            window_seconds,
-            params.timestamp_bits,
-            cache=self._report_cache,
-        )
+    def rescue_report(self, now: float, back_to: float):
+        timestamp_bits = self.params.timestamp_bits
+        _count, enlarged_bits = enlarged_report_size(self.db, back_to, timestamp_bits)
+        if enlarged_bits <= bitseq_report_bits(self.db.n_items, timestamp_bits):
+            self.enlarged_broadcasts += 1
+            return build_enlarged_window_report(self.db, now, back_to, timestamp_bits)
+        return super().rescue_report(now, back_to)
 
 
 AAW_SCHEME = Scheme(

@@ -2,28 +2,18 @@
 
 A gap of even one missed report forces a full drop, which is why the
 paper's evaluation excludes AT for long-disconnection regimes; kept here
-as an ablation baseline.
+as an ablation baseline.  The client is the base
+:class:`~repro.schemes.base.ClientPolicy`.
 """
 
 from __future__ import annotations
 
 from ..reports.amnesic import build_amnesic_report
-from .base import (
-    ClientOutcome,
-    ClientPolicy,
-    Scheme,
-    ServerPolicy,
-    apply_invalidation,
-    reconcile_with_amnesic,
-)
+from .base import ClientPolicy, Scheme, ServerPolicy
 
 
 class ATServerPolicy(ServerPolicy):
     """Broadcasts the latest interval's updated ids every period."""
-
-    def __init__(self, params, db):
-        self.params = params
-        self.db = db
 
     def build_report(self, ctx, now: float):
         return build_amnesic_report(
@@ -31,29 +21,9 @@ class ATServerPolicy(ServerPolicy):
         )
 
 
-class ATClientPolicy(ClientPolicy):
-    """Applies the interval's drops; any gap discards the cache."""
-
-    def __init__(self, params, client_id: int):
-        self.params = params
-        self.client_id = client_id
-
-    def on_report(self, ctx, report) -> ClientOutcome:
-        inv = report.invalidation_for(ctx.tlb)
-        if inv.covered:
-            reconcile_with_amnesic(ctx.cache, report)
-            apply_invalidation(ctx.cache, inv, report.timestamp)
-        else:
-            ctx.cache.drop_all()
-            ctx.note_cache_drop()
-            ctx.cache.certify(report.timestamp)
-        ctx.tlb = report.timestamp
-        return ClientOutcome.READY
-
-
 AT_SCHEME = Scheme(
     name="at",
     server_factory=ATServerPolicy,
-    client_factory=ATClientPolicy,
+    client_factory=ClientPolicy,
     description="Amnesic terminals: one-interval update ids",
 )

@@ -33,14 +33,23 @@ import enum
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..cache import ClientCache
-from ..reports.base import Invalidation, Report
+from ..reports.base import Invalidation, Report, ReportKind
 
 
-class ClientOutcome(enum.Enum):
-    """State of the client's cache after handling one report."""
+class SessionOutcome(enum.Enum):
+    """What one offered report did to the session (policies return the
+    first two)."""
 
-    READY = "ready"       # invalidation applied; cache usable
-    PENDING = "pending"   # waiting on the server (Tlb sent / check sent)
+    READY = "ready"          # applied; cache certified as of the report
+    PENDING = "pending"      # salvage in flight (Tlb/check uploaded)
+    DUPLICATE = "duplicate"  # repetition-coded copy already applied
+    LAGGED = "lagged"        # report older than Tlb (stale publisher)
+
+
+_READY = SessionOutcome.READY
+_WINDOW = ReportKind.WINDOW
+_ENLARGED_WINDOW = ReportKind.ENLARGED_WINDOW
+_BIT_SEQUENCES = ReportKind.BIT_SEQUENCES
 
 
 def effective_window_seconds(ctx, params) -> float:
@@ -182,12 +191,66 @@ def apply_invalidation(
 
 
 class ClientPolicy:
-    """Per-client scheme behaviour.  Subclasses hold per-client state."""
+    """Per-client scheme behaviour.  As is, the TS, BS and AT client
+    (Figures 1-2); checking, GCORE, AFW and AAW change only what happens
+    when no report covers ``Tlb`` (:meth:`on_uncovered`), and SIG
+    replaces :meth:`on_report`.  Subclasses hold per-client state."""
 
-    def on_report(self, ctx, report: Report) -> ClientOutcome:
-        """Handle one broadcast report; must update ``ctx.tlb`` when the
-        cache ends up certified as of the report."""
-        raise NotImplementedError
+    def __init__(self, params=None, client_id: int = 0):
+        self.params = params
+        self.client_id = client_id
+
+    def on_report(self, ctx, report) -> SessionOutcome:
+        """The covered-report rule, once for every report kind.
+
+        A report covering ``ctx.tlb`` is applied: the cache is certified
+        as of the report and ``ctx.tlb`` advances to it.  A window covers
+        ``Tlb >= window_start`` (an enlarged window reaches its dummy
+        record), Bit-Sequences any ``Tlb`` inside its hierarchy, and an
+        amnesic report a ``Tlb`` no older than its one interval.  Any
+        other report goes to :meth:`on_uncovered`.  The covered paths
+        stay inline: this runs once per listener per tick.
+        """
+        t = report.timestamp
+        cache = ctx.cache
+        kind = report.kind
+        if kind is _WINDOW or kind is _ENLARGED_WINDOW:
+            if report.window_start > ctx.tlb:  # not covers(), inlined
+                return self.on_uncovered(ctx, report)
+            # No-news certify, inlined from apply_window_report's fast path.
+            if not cache.unreconciled and report.newest_ts <= cache.certified_floor:
+                cache.certify(t)
+            else:
+                apply_window_report(cache, report)
+        elif kind is _BIT_SEQUENCES:
+            # No-news certify: no update since Tlb (``Tlb >= TS(B0)``) and
+            # no suspects to reconcile.
+            if ctx.tlb >= report.ts_b0 and not cache.unreconciled:
+                cache.certify(t)
+            else:
+                inv = report.invalidation_for(ctx.tlb)
+                if not inv.covered:
+                    return self.on_uncovered(ctx, report)
+                reconcile_with_bitseq(cache, report)
+                apply_invalidation(cache, inv, t)
+        else:  # amnesic
+            inv = report.invalidation_for(ctx.tlb)
+            if not inv.covered:
+                return self.on_uncovered(ctx, report)
+            reconcile_with_amnesic(cache, report)
+            apply_invalidation(cache, inv, t)
+        ctx.tlb = t
+        return _READY
+
+    def on_uncovered(self, ctx, report: Report) -> SessionOutcome:
+        """No report covers ``ctx.tlb``: drop the whole cache and
+        resynchronise at this report.  Schemes that can salvage upload
+        instead and return ``PENDING``."""
+        ctx.cache.drop_all()
+        ctx.note_cache_drop()
+        ctx.cache.certify(report.timestamp)
+        ctx.tlb = report.timestamp
+        return _READY
 
     def on_validity_reply(self, ctx, invalid_items: Iterable[int], certified_at: float):
         """Handle the server's answer to a checking upload (checking-style
@@ -195,7 +258,8 @@ class ClientPolicy:
         raise NotImplementedError(f"{type(self).__name__} does not use checking")
 
     def on_reconnect(self, ctx, now: float):
-        """Reset per-disconnection-episode latches (e.g. the sent-Tlb flag)."""
+        """Reset per-disconnection-episode latches (e.g. the adaptive
+        client's uploaded ``Tlb``)."""
 
     def on_disconnect(self, ctx, now: float):
         """Hook at disconnection time (rarely needed)."""
@@ -298,6 +362,10 @@ class PendingTlbBuffer:
 
 class ServerPolicy:
     """Per-cell scheme behaviour on the server."""
+
+    def __init__(self, params=None, db=None):
+        self.params = params
+        self.db = db
 
     def build_report(self, ctx, now: float) -> Report:
         """Construct the invalidation report to broadcast at *now*."""

@@ -3,27 +3,18 @@
 Every report carries the full hierarchy, so any client — however long
 disconnected — salvages its cache without uplink traffic, at the price
 of a ~2N-bit report each period (the downlink cost Figure 5 punishes).
+The client is Figure 2's, the base
+:class:`~repro.schemes.base.ClientPolicy`.
 """
 
 from __future__ import annotations
 
 from ..reports.bitseq import build_bitseq_report
-from .base import (
-    ClientOutcome,
-    ClientPolicy,
-    Scheme,
-    ServerPolicy,
-    apply_invalidation,
-    reconcile_with_bitseq,
-)
+from .base import ClientPolicy, Scheme, ServerPolicy
 
 
 class BSServerPolicy(ServerPolicy):
     """Broadcasts the bit-sequences hierarchy every period."""
-
-    def __init__(self, params, db):
-        self.params = params
-        self.db = db
 
     def build_report(self, ctx, now: float):
         # origin is the server's history floor: 0.0 in a never-crashed
@@ -37,38 +28,9 @@ class BSServerPolicy(ServerPolicy):
         )
 
 
-class BSClientPolicy(ClientPolicy):
-    """Figure 2's client algorithm."""
-
-    def __init__(self, params, client_id: int):
-        self.params = params
-        self.client_id = client_id
-
-    def on_report(self, ctx, report) -> ClientOutcome:
-        t = report.timestamp
-        cache = ctx.cache
-        # Fast path: no update since the client's last-heard time
-        # (``tlb >= TS(B0)``) and no suspects to reconcile — the general
-        # path below would compute an empty invalidation and certify.
-        if ctx.tlb >= report.ts_b0 and not cache.unreconciled:
-            cache.certify(t)
-            ctx.tlb = t
-            return ClientOutcome.READY
-        inv = report.invalidation_for(ctx.tlb)
-        if inv.covered:
-            reconcile_with_bitseq(ctx.cache, report)
-            apply_invalidation(ctx.cache, inv, report.timestamp)
-        else:
-            ctx.cache.drop_all()
-            ctx.note_cache_drop()
-            ctx.cache.certify(report.timestamp)
-        ctx.tlb = report.timestamp
-        return ClientOutcome.READY
-
-
 BS_SCHEME = Scheme(
     name="bs",
     server_factory=BSServerPolicy,
-    client_factory=BSClientPolicy,
+    client_factory=ClientPolicy,
     description="Bit-sequences hierarchy every period (no uplink)",
 )

@@ -15,34 +15,17 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..reports.sizes import validity_report_bits
-from ..reports.window import WindowReportCache, build_window_report
-from .base import (
-    ClientOutcome,
-    ClientPolicy,
-    Scheme,
-    ServerPolicy,
-    apply_window_report,
-    effective_window_seconds,
-)
+from .base import ClientPolicy, Scheme, SessionOutcome
+from .ts_nocheck import TSServerPolicy
 
 
-class CheckingServerPolicy(ServerPolicy):
-    """Plain window broadcasts plus a validity-answer service."""
+class CheckingServerPolicy(TSServerPolicy):
+    """Plain window broadcasts plus a validity-answer service (GCORE's
+    server too: its entries already carry group minima)."""
 
     def __init__(self, params, db):
-        self.params = params
-        self.db = db
+        super().__init__(params, db)
         self.checks_served = 0
-        self._report_cache = WindowReportCache(db)
-
-    def build_report(self, ctx, now: float):
-        return build_window_report(
-            self.db,
-            now,
-            effective_window_seconds(ctx, self.params),
-            self.params.timestamp_bits,
-            cache=self._report_cache,
-        )
 
     def on_check_request(
         self, ctx, client_id: int, entries: List[Tuple[int, float]], now: float
@@ -62,57 +45,15 @@ class CheckingServerPolicy(ServerPolicy):
 
 
 class CheckingClientPolicy(ClientPolicy):
-    """Uploads the whole cache when the window does not cover the gap."""
+    """Uploads the whole cache when no report covers ``Tlb``.
 
-    def __init__(self, params, client_id: int):
-        self.params = params
-        self.client_id = client_id
-        self._check_pending = False
+    The session holds further reports until the validity reply lands
+    (or the episode ends: reconnection, give-up, epoch change).
+    """
 
-    def on_report(self, ctx, report) -> ClientOutcome:
-        if self._check_pending:
-            # The answer to our upload is still in flight; this report
-            # cannot help (our Tlb predates its window).
-            return ClientOutcome.PENDING
-        if report.window_start <= ctx.tlb:  # covers(), inlined
-            cache = ctx.cache
-            # No-news certify (apply_window_report's fast path, inlined).
-            if not cache.unreconciled and report.newest_ts <= cache.certified_floor:
-                cache.certify(report.timestamp)
-            else:
-                apply_window_report(cache, report)
-            ctx.tlb = report.timestamp
-            return ClientOutcome.READY
-        entries = [
-            (entry.item, ctx.cache.effective_ts(entry))
-            for entry in ctx.cache.entries()
-        ]
-        if not entries:
-            # Nothing to salvage; resynchronize without uplink traffic.
-            ctx.cache.certify(report.timestamp)
-            ctx.tlb = report.timestamp
-            return ClientOutcome.READY
-        self._check_pending = True
-        ctx.send_check_request(entries)
-        return ClientOutcome.PENDING
-
-    def on_validity_reply(self, ctx, invalid_items, certified_at: float):
-        self._check_pending = False
-        for item in invalid_items:
-            ctx.cache.invalidate(item)
-        ctx.cache.certify(certified_at)
-        # Certified as of the server's evaluation instant; the next window
-        # report covers everything after it.
-        ctx.tlb = certified_at
-
-    def on_reconnect(self, ctx, now: float):
-        # A reply delivered while we dozed is lost on the air; without this
-        # reset the client would wait for it forever.
-        self._check_pending = False
-
-    def on_validation_timeout(self, ctx, now: float) -> bool:
-        """The checking upload (or its validity reply) was lost on the
-        air: re-upload the current cache contents."""
+    def upload_cache(self, ctx) -> bool:
+        """Upload every cached ``(item, effective ts)``; False (nothing
+        sent) when the cache is empty."""
         entries = [
             (entry.item, ctx.cache.effective_ts(entry))
             for entry in ctx.cache.entries()
@@ -121,6 +62,27 @@ class CheckingClientPolicy(ClientPolicy):
             return False
         ctx.send_check_request(entries)
         return True
+
+    def on_uncovered(self, ctx, report) -> SessionOutcome:
+        if self.upload_cache(ctx):
+            return SessionOutcome.PENDING
+        # Nothing to salvage; resynchronize without uplink traffic.
+        ctx.cache.certify(report.timestamp)
+        ctx.tlb = report.timestamp
+        return SessionOutcome.READY
+
+    def on_validity_reply(self, ctx, invalid_items, certified_at: float):
+        for item in invalid_items:
+            ctx.cache.invalidate(item)
+        ctx.cache.certify(certified_at)
+        # Certified as of the server's evaluation instant; the next window
+        # report covers everything after it.
+        ctx.tlb = certified_at
+
+    def on_validation_timeout(self, ctx, now: float) -> bool:
+        """The checking upload (or its validity reply) was lost on the
+        air: re-upload the current cache contents."""
+        return self.upload_cache(ctx)
 
 
 CHECKING_SCHEME = Scheme(

@@ -2,9 +2,10 @@
 
 :class:`ClientSession` is the protocol half of every scheme's client:
 report dedup, the ``(cell, epoch)`` incarnation state machine,
-missed-report detection, ``Tlb`` bookkeeping, validity replies,
-validation timeouts, the connectivity resets, and dispatch into the
-scheme's :class:`~repro.schemes.base.ClientPolicy`.  No event loop, no
+missed-report detection, ``Tlb`` bookkeeping, validity replies (and
+holding reports while one is due), validation timeouts, the
+connectivity resets, and dispatch into the scheme's
+:class:`~repro.schemes.base.ClientPolicy`.  No event loop, no
 channels, no energy model — callers feed it reports and replies and act
 on the outcome.  The simulated client (:mod:`repro.sim.client`) and the
 service node (:mod:`repro.service`) both run it, so the service certifies
@@ -21,13 +22,12 @@ private one by default) under the names below.
 
 from __future__ import annotations
 
-import enum
 from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 from ..cache import CacheEntry, ClientCache
 from ..des.monitor import MetricSet
 from ..reports.base import Report
-from .base import ClientOutcome, ClientPolicy
+from .base import ClientPolicy, SessionOutcome
 
 __all__ = ["ClientSession", "SessionOutcome"]
 
@@ -47,18 +47,8 @@ CheckSender = Callable[[Sequence[Tuple[int, float]], Optional[float]], None]
 TlbSender = Callable[[float], None]
 
 
-class SessionOutcome(enum.Enum):
-    """What one offered report did to the session."""
-
-    READY = "ready"          # applied; cache certified as of the report
-    PENDING = "pending"      # salvage in flight (Tlb/check uploaded)
-    DUPLICATE = "duplicate"  # repetition-coded copy already applied
-    LAGGED = "lagged"        # report older than Tlb (stale publisher)
-
-
-_READY = ClientOutcome.READY
-_SESSION_READY = SessionOutcome.READY
-_SESSION_PENDING = SessionOutcome.PENDING
+_READY = SessionOutcome.READY
+_PENDING = SessionOutcome.PENDING
 
 
 def _noop() -> None:
@@ -76,6 +66,7 @@ class ClientSession:
         "tlb",
         "pending",
         "episode",
+        "_reply_due",
         "_send_tlb",
         "_send_check",
         "_note_drop",
@@ -120,6 +111,8 @@ class ClientSession:
         #: Bumped each time ``pending`` turns on, so a validation timer
         #: can tell a fresh episode from the one it was timing.
         self.episode = 0
+        #: A checking upload awaits its validity reply: reports are held.
+        self._reply_due = False
         self._send_tlb: TlbSender = send_tlb or (lambda _tlb: None)
         self._send_check: CheckSender = send_check_request or (
             lambda _entries, _size_bits: None
@@ -157,6 +150,7 @@ class ClientSession:
         size_bits: Optional[float] = None,
     ) -> None:
         self._m_checks.add()
+        self._reply_due = True
         self._send_check(entries, size_bits)
 
     def note_cache_drop(self) -> None:
@@ -173,7 +167,9 @@ class ClientSession:
         ``on_epoch_change`` (default: full drop) and resynchronises
         ``Tlb``; a lagging report (older than ``Tlb``) is skipped; a gap
         of more than one broadcast interval is reported to the policy
-        (and the ``on_gap`` listener) before dispatch.
+        (and the ``on_gap`` listener) before dispatch; a report arriving
+        while a validity reply is due is held (``PENDING``).  Otherwise
+        returns the policy's outcome.
         """
         report_ts = report.timestamp
         last_applied = self._last_applied
@@ -200,7 +196,7 @@ class ClientSession:
             self.policy.on_epoch_change(self, self._epoch, epoch, now)
             self._cell = report.cell
             self._epoch = epoch
-            self.pending = False
+            self.pending = self._reply_due = False
             self._last_heard = None
             self.tlb = report_ts
             self.cache.certified_floor = min(self.cache.certified_floor, report_ts)
@@ -221,13 +217,17 @@ class ClientSession:
                 if self._on_gap is not None:
                     self._on_gap(n_missed)
                 self.policy.on_missed_reports(self, n_missed, now)
-        if self.policy.on_report(self, report) is _READY:
-            self.pending = False
-            return _SESSION_READY
-        if not self.pending:
+        if self._reply_due:
+            # The validity reply is in flight; this report cannot help
+            # (Tlb predates its window).
+            return _PENDING
+        outcome = self.policy.on_report(self, report)
+        if outcome is _READY:
+            self.pending = self._reply_due = False
+        elif not self.pending:
             self.pending = True
             self.episode += 1
-        return _SESSION_PENDING
+        return outcome
 
     # -- salvage replies ---------------------------------------------------
 
@@ -243,7 +243,7 @@ class ClientSession:
         if not self.pending:
             return False
         self.policy.on_validity_reply(self, invalid_items, certified_at)
-        self.pending = False
+        self.pending = self._reply_due = False
         return True
 
     def validation_timeout(self, now: float) -> bool:
@@ -262,7 +262,7 @@ class ClientSession:
         the policy's reconnect hook reset its in-flight exchange."""
         self.cache.drop_all()
         self.note_cache_drop()
-        self.pending = False
+        self.pending = self._reply_due = False
         self.policy.on_reconnect(self, now)
 
     # -- connectivity episodes --------------------------------------------
@@ -276,13 +276,13 @@ class ClientSession:
         not wireless loss, and a reply to a pre-doze upload is lost:
         suppress the next gap, end the pending episode, and reset the
         policy's per-episode latches."""
-        self.pending = False
+        self.pending = self._reply_due = False
         self._last_heard = None
         self.policy.on_reconnect(self, now)
 
     def promote(self, now: float) -> None:
         """A reconnection whose doze was spent in the population pool."""
-        self.pending = False
+        self.pending = self._reply_due = False
         self._last_heard = None
         self.policy.on_promote(self, now)
 
@@ -300,7 +300,7 @@ class ClientSession:
         self.tlb = 0.0
         self._last_applied = None
         self._last_heard = None
-        self.pending = False
+        self.pending = self._reply_due = False
         self.policy.on_reconnect(self, now)
 
     # -- introspection -----------------------------------------------------

@@ -15,10 +15,10 @@ from ..reports.signatures import (
     SignatureScheme,
 )
 from .base import (
-    ClientOutcome,
     ClientPolicy,
     Scheme,
     ServerPolicy,
+    SessionOutcome,
     apply_invalidation,
     drop_unreconciled,
 )
@@ -42,8 +42,7 @@ class SIGServerPolicy(ServerPolicy):
         membership: float = DEFAULT_MEMBERSHIP,
         threshold: float = DEFAULT_THRESHOLD,
     ):
-        self.params = params
-        self.db = db
+        super().__init__(params, db)
         self.scheme = SignatureScheme(
             db.n_items,
             n_subsets=n_subsets,
@@ -71,12 +70,11 @@ class SIGClientPolicy(ClientPolicy):
     """Differences fresh combined signatures against the saved ones."""
 
     def __init__(self, params, client_id: int):
-        self.params = params
-        self.client_id = client_id
+        super().__init__(params, client_id)
         self._saved = None
         self._saved_at = 0.0
 
-    def on_report(self, ctx, report) -> ClientOutcome:
+    def on_report(self, ctx, report) -> SessionOutcome:
         if self._saved is None or ctx.tlb < self._saved_at:
             # No baseline to difference against: the first report ever
             # (the cache is empty at simulation start, so nothing is at
@@ -94,7 +92,7 @@ class SIGClientPolicy(ClientPolicy):
         # immutable tuple, so the next report diffs it once for them all.
         self._saved = report.combined
         self._saved_at = ctx.tlb = report.timestamp
-        return ClientOutcome.READY
+        return SessionOutcome.READY
 
 
 SIG_SCHEME = Scheme(

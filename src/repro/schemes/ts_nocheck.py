@@ -2,20 +2,15 @@
 
 The server broadcasts ``IR(w)`` every period.  A client disconnected
 longer than the window drops its whole cache; otherwise it invalidates
-the listed items newer than its entries and certifies the rest.
+the listed items newer than its entries and certifies the rest.  That
+client is the base :class:`~repro.schemes.base.ClientPolicy`; this
+server is the base of every window scheme (checking, GCORE, AFW, AAW).
 """
 
 from __future__ import annotations
 
 from ..reports.window import WindowReportCache, build_window_report
-from .base import (
-    ClientOutcome,
-    ClientPolicy,
-    Scheme,
-    ServerPolicy,
-    apply_window_report,
-    effective_window_seconds,
-)
+from .base import ClientPolicy, Scheme, ServerPolicy, effective_window_seconds
 
 
 class TSServerPolicy(ServerPolicy):
@@ -23,48 +18,26 @@ class TSServerPolicy(ServerPolicy):
     loss adaptation)."""
 
     def __init__(self, params, db):
-        self.params = params
-        self.db = db
+        super().__init__(params, db)
         self._report_cache = WindowReportCache(db)
 
     def build_report(self, ctx, now: float):
+        return self.window_report(now, effective_window_seconds(ctx, self.params))
+
+    def window_report(self, now: float, window_seconds: float):
+        """``IR(w)`` reaching *window_seconds* back from *now*."""
         return build_window_report(
             self.db,
             now,
-            effective_window_seconds(ctx, self.params),
+            window_seconds,
             self.params.timestamp_bits,
             cache=self._report_cache,
         )
 
 
-class TSClientPolicy(ClientPolicy):
-    """Figure 1's client algorithm: covered -> precise drop; else drop all."""
-
-    def __init__(self, params, client_id: int):
-        self.params = params
-        self.client_id = client_id
-
-    def on_report(self, ctx, report) -> ClientOutcome:
-        t = report.timestamp
-        cache = ctx.cache
-        if report.window_start <= ctx.tlb:  # covers(), inlined
-            # No-news certify, inlined from apply_window_report's fast
-            # path: this runs once per listener per tick.
-            if not cache.unreconciled and report.newest_ts <= cache.certified_floor:
-                cache.certify(t)
-            else:
-                apply_window_report(cache, report)
-        else:
-            cache.drop_all()
-            ctx.note_cache_drop()
-            cache.certify(t)
-        ctx.tlb = t
-        return ClientOutcome.READY
-
-
 TS_SCHEME = Scheme(
     name="ts",
     server_factory=TSServerPolicy,
-    client_factory=TSClientPolicy,
+    client_factory=ClientPolicy,
     description="Broadcasting timestamps, fixed window, no checking",
 )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache import CacheEntry, ClientCache
 from repro.db import Database
+from repro.schemes import ClientSession
 from repro.sim import SystemParams
 
 
@@ -35,6 +36,25 @@ class FakeClientCtx:
 @pytest.fixture
 def ctx():
     return FakeClientCtx()
+
+
+@pytest.fixture
+def session_of(ctx, params):
+    """``session_of(policy)``: a :class:`ClientSession` over *policy* on
+    the fake context's cache and upload logs, starting at its ``Tlb``."""
+
+    def make(policy):
+        return ClientSession(
+            policy,
+            ctx.cache,
+            params,
+            send_tlb=ctx.send_tlb,
+            send_check_request=ctx.send_check_request,
+            note_cache_drop=ctx.note_cache_drop,
+            start_tlb=ctx.tlb,
+        )
+
+    return make
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ from repro.schemes import (
     AAWServerPolicy,
     AFWServerPolicy,
     AdaptiveClientPolicy,
-    ClientOutcome,
+    SessionOutcome,
 )
 
 
@@ -100,7 +100,7 @@ class TestAdaptiveClient:
         server = AFWServerPolicy(params=params, db=db)
         policy = AdaptiveClientPolicy(params=params, client_id=0)
         outcome = policy.on_report(ctx, server.build_report(None, 400.0))
-        assert outcome is ClientOutcome.READY
+        assert outcome is SessionOutcome.READY
         assert 3 not in ctx.cache and 7 in ctx.cache
         assert ctx.sent_tlbs == []
 
@@ -110,7 +110,7 @@ class TestAdaptiveClient:
         server = AFWServerPolicy(params=params, db=db)
         policy = AdaptiveClientPolicy(params=params, client_id=0)
         outcome = policy.on_report(ctx, server.build_report(None, 400.0))
-        assert outcome is ClientOutcome.PENDING
+        assert outcome is SessionOutcome.PENDING
         assert ctx.sent_tlbs == [30.0]
         assert 7 in ctx.cache  # nothing dropped while waiting
 
@@ -123,7 +123,7 @@ class TestAdaptiveClient:
         policy.on_report(ctx, server.build_report(None, 400.0))
         server.on_tlb(None, 0, ctx.sent_tlbs[0], 401.0)
         outcome = policy.on_report(ctx, server.build_report(None, 420.0))
-        assert outcome is ClientOutcome.READY
+        assert outcome is SessionOutcome.READY
         assert 1 not in ctx.cache and 7 in ctx.cache
         assert ctx.drops == 0
         assert ctx.tlb == 420.0
@@ -139,7 +139,7 @@ class TestAdaptiveClient:
         report = server.build_report(None, 420.0)
         assert report.kind is ReportKind.ENLARGED_WINDOW
         outcome = policy.on_report(ctx, report)
-        assert outcome is ClientOutcome.READY
+        assert outcome is SessionOutcome.READY
         assert 1 not in ctx.cache and 7 in ctx.cache
 
     def test_second_uncovered_window_drops_cache(self, params, db, ctx):
@@ -152,7 +152,7 @@ class TestAdaptiveClient:
         # Server ignored us (e.g. upload lost / unsalvageable): next plain
         # window forces the drop.
         outcome = policy.on_report(ctx, server.build_report(None, 420.0))
-        assert outcome is ClientOutcome.READY
+        assert outcome is SessionOutcome.READY
         assert len(ctx.cache) == 0
         assert ctx.drops == 1
         assert len(ctx.sent_tlbs) == 1  # never re-asks within the episode

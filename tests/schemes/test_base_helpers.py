@@ -1,11 +1,17 @@
 """Tests for scheme base helpers not covered elsewhere."""
 
+import runpy
+from pathlib import Path
+
 import pytest
 
 from repro.cache import CacheEntry, ClientCache
 from repro.reports import Invalidation, WindowReport
-from repro.schemes import ClientOutcome, apply_invalidation, apply_window_report
+from repro.schemes import SessionOutcome, apply_invalidation, apply_window_report
 from repro.schemes.base import ClientPolicy, Scheme, ServerPolicy
+from repro.schemes.registry import _REGISTRY
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
 def entry(item, ts=0.0):
@@ -69,12 +75,22 @@ class TestApplyWindowReport:
 
 
 class TestPolicyInterfaces:
-    def test_client_policy_defaults(self):
+    def test_client_policy_defaults(self, ctx):
+        # The base policy is the TS/BS/AT client: no hook is required.
         policy = ClientPolicy()
-        with pytest.raises(NotImplementedError):
-            policy.on_report(None, None)
+        ctx.cache.insert(entry(1, ts=5.0))
+        covered = WindowReport(timestamp=20.0, window_start=0.0, items={}, n_items=8)
+        assert policy.on_report(ctx, covered) is SessionOutcome.READY
+        assert 1 in ctx.cache and ctx.tlb == 20.0
+        # Uncovered: the default on_uncovered drops the cache and resyncs.
+        uncovered = WindowReport(
+            timestamp=500.0, window_start=300.0, items={}, n_items=8
+        )
+        assert policy.on_report(ctx, uncovered) is SessionOutcome.READY
+        assert len(ctx.cache) == 0 and ctx.drops == 1 and ctx.tlb == 500.0
         with pytest.raises(NotImplementedError):
             policy.on_validity_reply(None, [], 0.0)
+        assert policy.on_validation_timeout(None, 0.0) is False
         # Reconnect hooks are optional no-ops.
         policy.on_reconnect(None, 0.0)
         policy.on_disconnect(None, 0.0)
@@ -107,5 +123,24 @@ class TestPolicyInterfaces:
         assert "demo" in repr(scheme)
 
     def test_client_outcome_values(self):
-        assert ClientOutcome.READY.value == "ready"
-        assert ClientOutcome.PENDING.value == "pending"
+        # A policy's outcome is the session's, which names node metrics.
+        assert SessionOutcome.READY.value == "ready"
+        assert SessionOutcome.PENDING.value == "pending"
+
+
+def test_custom_scheme_example_runs(capsys):
+    """The example's client overrides only on_uncovered; its run of
+    three schemes serves no stale answer."""
+    try:
+        runpy.run_path(str(EXAMPLES / "custom_scheme.py"), run_name="__main__")
+    finally:
+        # The registry is process-global: later available_schemes()
+        # callers must not see the example's scheme.
+        _REGISTRY.pop("periodic-bs", None)
+    rows = [
+        line.split()
+        for line in capsys.readouterr().out.splitlines()
+        if line.split()[:1] in (["bs"], ["periodic-bs"], ["afw"])
+    ]
+    assert [row[0] for row in rows] == ["bs", "periodic-bs", "afw"]
+    assert all(row[-1] == "0" for row in rows)  # stale answers

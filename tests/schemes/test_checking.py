@@ -3,7 +3,7 @@
 from repro.schemes import (
     CheckingClientPolicy,
     CheckingServerPolicy,
-    ClientOutcome,
+    SessionOutcome,
 )
 
 
@@ -15,7 +15,7 @@ class TestCheckingClient:
         server = CheckingServerPolicy(params=params, db=db)
         report = server.build_report(None, 200.0)
         policy = CheckingClientPolicy(params=params, client_id=0)
-        assert policy.on_report(ctx, report) is ClientOutcome.READY
+        assert policy.on_report(ctx, report) is SessionOutcome.READY
         assert 3 not in ctx.cache and 7 in ctx.cache
         assert ctx.check_requests == []
 
@@ -25,7 +25,7 @@ class TestCheckingClient:
         server = CheckingServerPolicy(params=params, db=db)
         report = server.build_report(None, 500.0)  # window (300, 500]
         policy = CheckingClientPolicy(params=params, client_id=0)
-        assert policy.on_report(ctx, report) is ClientOutcome.PENDING
+        assert policy.on_report(ctx, report) is SessionOutcome.PENDING
         (entries, size), = ctx.check_requests
         assert sorted(entries) == [(1, 10.0), (2, 30.0)]
         assert size is None  # default sizing (full checking upload)
@@ -35,7 +35,7 @@ class TestCheckingClient:
         ctx.tlb = 30.0
         report = CheckingServerPolicy(params=params, db=db).build_report(None, 500.0)
         policy = CheckingClientPolicy(params=params, client_id=0)
-        assert policy.on_report(ctx, report) is ClientOutcome.READY
+        assert policy.on_report(ctx, report) is SessionOutcome.READY
         assert ctx.check_requests == []
         assert ctx.tlb == 500.0
 
@@ -56,15 +56,17 @@ class TestCheckingClient:
         assert ctx.tlb == 505.0
         assert ctx.cache.certified_floor == 505.0
 
-    def test_reports_ignored_while_check_pending(self, params, db, ctx):
+    def test_reports_ignored_while_check_pending(self, params, db, ctx, session_of):
         ctx.cache_items((2, 10.0))
         ctx.tlb = 30.0
         server = CheckingServerPolicy(params=params, db=db)
-        policy = CheckingClientPolicy(params=params, client_id=0)
-        policy.on_report(ctx, server.build_report(None, 500.0))
-        outcome = policy.on_report(ctx, server.build_report(None, 520.0))
-        assert outcome is ClientOutcome.PENDING
+        session = session_of(CheckingClientPolicy(params=params, client_id=0))
+        session.offer_report(server.build_report(None, 500.0), now=500.0)
+        # The session holds reports until the validity reply lands.
+        outcome = session.offer_report(server.build_report(None, 520.0), now=520.0)
+        assert outcome is SessionOutcome.PENDING
         assert len(ctx.check_requests) == 1  # no duplicate upload
+        assert session.tlb == 30.0 and 2 in ctx.cache  # nothing applied
 
     def test_after_reply_next_report_covers(self, params, db, ctx):
         ctx.cache_items((2, 10.0))
@@ -76,7 +78,7 @@ class TestCheckingClient:
         invalid, certified, _ = server.on_check_request(None, 0, entries, 505.0)
         policy.on_validity_reply(ctx, invalid, certified)
         outcome = policy.on_report(ctx, server.build_report(None, 520.0))
-        assert outcome is ClientOutcome.READY
+        assert outcome is SessionOutcome.READY
         assert len(ctx.check_requests) == 1
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database
-from repro.schemes.gcore import GCOREServerPolicy, group_of
+from repro.schemes import CheckingServerPolicy, group_of
 from repro.sim import SystemParams
 
 scenario = st.fixed_dictionaries(
@@ -39,7 +39,7 @@ def test_grouped_check_never_misses_a_stale_item(cfg):
     params = SystemParams(
         simulation_time=10.0, n_clients=1, db_size=cfg["n_items"]
     )
-    server = GCOREServerPolicy(params=params, db=db, n_groups=cfg["n_groups"])
+    server = CheckingServerPolicy(params=params, db=db)
 
     # A client cache: items with their true coherence times.
     cached = {}

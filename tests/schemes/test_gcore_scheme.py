@@ -2,9 +2,9 @@
 
 from repro.reports import checking_upload_bits
 from repro.schemes import (
-    ClientOutcome,
+    CheckingServerPolicy,
     GCOREClientPolicy,
-    GCOREServerPolicy,
+    SessionOutcome,
     group_of,
 )
 from repro.schemes.gcore import grouped_upload_bits
@@ -24,10 +24,10 @@ class TestGCOREClient:
     def test_uncovered_uploads_group_minima(self, params, db, ctx):
         ctx.cache_items((1, 50.0), (9, 80.0))  # both in group 1 (mod 8)
         ctx.tlb = 80.0
-        server = GCOREServerPolicy(params=params, db=db)
+        server = CheckingServerPolicy(params=params, db=db)
         policy = GCOREClientPolicy(params=params, client_id=0)
         outcome = policy.on_report(ctx, server.build_report(None, 500.0))
-        assert outcome is ClientOutcome.PENDING
+        assert outcome is SessionOutcome.PENDING
         (entries, size), = ctx.check_requests
         # Both items report the *group minimum* timestamp (50).
         assert sorted(entries) == [(1, 50.0), (9, 50.0)]
@@ -39,7 +39,7 @@ class TestGCOREClient:
         db.apply_update(9, 60.0)  # before item 9's fetch at 80
         ctx.cache_items((1, 50.0), (9, 80.0))
         ctx.tlb = 80.0
-        server = GCOREServerPolicy(params=params, db=db)
+        server = CheckingServerPolicy(params=params, db=db)
         policy = GCOREClientPolicy(params=params, client_id=0)
         policy.on_report(ctx, server.build_report(None, 500.0))
         (entries, _), = ctx.check_requests
@@ -52,7 +52,7 @@ class TestGCOREClient:
         db.apply_update(1, 400.0)
         ctx.cache_items((1, 50.0))
         ctx.tlb = 80.0
-        server = GCOREServerPolicy(params=params, db=db)
+        server = CheckingServerPolicy(params=params, db=db)
         policy = GCOREClientPolicy(params=params, client_id=0)
         policy.on_report(ctx, server.build_report(None, 500.0))
         (entries, _), = ctx.check_requests
@@ -63,10 +63,10 @@ class TestGCOREClient:
     def test_covered_report_no_upload(self, params, db, ctx):
         ctx.tlb = 400.0
         ctx.cache_items((1, 390.0))
-        server = GCOREServerPolicy(params=params, db=db)
+        server = CheckingServerPolicy(params=params, db=db)
         policy = GCOREClientPolicy(params=params, client_id=0)
         assert policy.on_report(ctx, server.build_report(None, 500.0)) is (
-            ClientOutcome.READY
+            SessionOutcome.READY
         )
         assert ctx.check_requests == []
 

@@ -12,9 +12,8 @@ import pytest
 from repro.schemes import (
     CheckingClientPolicy,
     CheckingServerPolicy,
-    ClientOutcome,
     GCOREClientPolicy,
-    GCOREServerPolicy,
+    SessionOutcome,
     available_schemes,
 )
 from repro.sim import SimulationModel, SystemParams, UNIFORM
@@ -25,24 +24,24 @@ class TestLostReplyRecovery:
         "client_cls,server_cls",
         [
             (CheckingClientPolicy, CheckingServerPolicy),
-            (GCOREClientPolicy, GCOREServerPolicy),
+            (GCOREClientPolicy, CheckingServerPolicy),
         ],
     )
     def test_reconnect_clears_pending_check(
-        self, params, db, ctx, client_cls, server_cls
+        self, params, db, ctx, session_of, client_cls, server_cls
     ):
         ctx.cache_items((2, 10.0))
         ctx.tlb = 30.0
         server = server_cls(params=params, db=db)
-        policy = client_cls(params=params, client_id=0)
-        assert policy.on_report(ctx, server.build_report(None, 500.0)) is (
-            ClientOutcome.PENDING
+        session = session_of(client_cls(params=params, client_id=0))
+        assert session.offer_report(server.build_report(None, 500.0), 500.0) is (
+            SessionOutcome.PENDING
         )
         # The reply never arrives: the client dozes and wakes up.
-        policy.on_reconnect(ctx, 900.0)
+        session.reconnect(900.0)
         # The next uncovered report triggers a fresh upload, not a wedge.
-        outcome = policy.on_report(ctx, server.build_report(None, 920.0))
-        assert outcome is ClientOutcome.PENDING
+        outcome = session.offer_report(server.build_report(None, 920.0), 920.0)
+        assert outcome is SessionOutcome.PENDING
         assert len(ctx.check_requests) == 2
 
 

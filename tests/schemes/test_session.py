@@ -1,5 +1,7 @@
 """ClientSession: the transport-free port of the sim client's intake."""
 
+import pytest
+
 from repro.cache import CacheEntry, ClientCache
 from repro.reports.window import WindowReport
 from repro.schemes import ClientSession, SessionOutcome, get_scheme
@@ -174,6 +176,28 @@ def test_validation_timeout_reissues_then_degrades():
     assert s.validation_timeout(540.0) is True
     assert s.pending
     assert len(checks) == 2
+
+
+@pytest.mark.parametrize(
+    "scheme,reuploads",
+    [("checking", True), ("gcore", False), ("afw", True), ("aaw", True)],
+)
+def test_validation_timeout_per_scheme(scheme, reuploads):
+    """checking, afw and aaw re-upload and keep waiting; gcore gives up
+    and drops its cache."""
+    checks, tlbs = [], []
+    s = make_session(scheme, check_log=checks, tlb_log=tlbs)
+    s.offer_report(wreport(20.0), now=20.0)
+    s.cache.insert(entry(1, 20.0))
+    assert s.offer_report(wreport(500.0, window=200.0), now=500.0) is (
+        SessionOutcome.PENDING
+    )
+    assert len(checks) + len(tlbs) == 1
+    assert s.validation_timeout(540.0) is reuploads
+    assert s.pending is reuploads
+    assert len(checks) + len(tlbs) == (2 if reuploads else 1)
+    assert len(s.cache) == (1 if reuploads else 0)
+    assert s.snapshot()["full_drops"] == (0 if reuploads else 1)
 
 
 class _NoRetryPolicy:

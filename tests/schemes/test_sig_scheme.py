@@ -3,7 +3,7 @@
 from collections import Counter
 
 from repro.reports import SignatureReport
-from repro.schemes import ClientOutcome, SIGClientPolicy, SIGServerPolicy
+from repro.schemes import SIGClientPolicy, SIGServerPolicy, SessionOutcome
 from repro.sim import UNIFORM, SystemParams, run_simulation
 
 
@@ -35,7 +35,7 @@ class TestSIGClient:
         server = make_server(params, db)
         policy = SIGClientPolicy(params=params, client_id=0)
         outcome = policy.on_report(ctx, server.build_report(None, 20.0))
-        assert outcome is ClientOutcome.READY
+        assert outcome is SessionOutcome.READY
         assert ctx.tlb == 20.0
 
     def test_updated_item_diagnosed_across_long_gap(self, params, db, ctx):

@@ -1,12 +1,11 @@
-"""Unit tests for the TS, AT and BS scheme policies."""
+"""Unit tests for the TS, AT and BS scheme policies (one client:
+the base ``ClientPolicy``)."""
 
 from repro.schemes import (
-    ATClientPolicy,
     ATServerPolicy,
-    BSClientPolicy,
     BSServerPolicy,
-    ClientOutcome,
-    TSClientPolicy,
+    ClientPolicy,
+    SessionOutcome,
     TSServerPolicy,
 )
 from repro.reports import ReportKind
@@ -28,9 +27,9 @@ class TestTSClient:
         ctx.cache_items((3, 100.0), (7, 100.0))
         ctx.tlb = 100.0
         report = TSServerPolicy(params=params, db=db).build_report(None, 200.0)
-        policy = TSClientPolicy(params=params, client_id=0)
+        policy = ClientPolicy(params=params, client_id=0)
         outcome = policy.on_report(ctx, report)
-        assert outcome is ClientOutcome.READY
+        assert outcome is SessionOutcome.READY
         assert 3 not in ctx.cache  # updated after fetch
         assert 7 in ctx.cache      # untouched item survives
         assert ctx.tlb == 200.0
@@ -41,7 +40,7 @@ class TestTSClient:
         ctx.tlb = 10.0
         report = TSServerPolicy(params=params, db=db).build_report(None, 500.0)
         # window starts at 300 > tlb=10 -> gap too long
-        policy = TSClientPolicy(params=params, client_id=0)
+        policy = ClientPolicy(params=params, client_id=0)
         policy.on_report(ctx, report)
         assert len(ctx.cache) == 0
         assert ctx.drops == 1
@@ -53,7 +52,7 @@ class TestTSClient:
         ctx.tlb = 140.0
         ctx.cache_items((5, 160.0))  # fetched after the update
         report = TSServerPolicy(params=params, db=db).build_report(None, 200.0)
-        TSClientPolicy(params=params, client_id=0).on_report(ctx, report)
+        ClientPolicy(params=params, client_id=0).on_report(ctx, report)
         assert 5 in ctx.cache
 
 
@@ -71,14 +70,14 @@ class TestAT:
         ctx.cache_items((2, 100.0), (9, 100.0))
         ctx.tlb = 180.0
         report = ATServerPolicy(params=params, db=db).build_report(None, 200.0)
-        ATClientPolicy(params=params, client_id=0).on_report(ctx, report)
+        ClientPolicy(params=params, client_id=0).on_report(ctx, report)
         assert 2 not in ctx.cache and 9 in ctx.cache
 
     def test_client_with_gap_drops_all(self, params, db, ctx):
         ctx.cache_items((9, 100.0))
         ctx.tlb = 150.0  # missed the report at 180
         report = ATServerPolicy(params=params, db=db).build_report(None, 200.0)
-        ATClientPolicy(params=params, client_id=0).on_report(ctx, report)
+        ClientPolicy(params=params, client_id=0).on_report(ctx, report)
         assert len(ctx.cache) == 0
         assert ctx.drops == 1
 
@@ -96,8 +95,8 @@ class TestBS:
         ctx.cache_items((1, 100.0), (2, 100.0), (9, 100.0))
         ctx.tlb = 100.0  # gap of 800 s >> window, but BS covers it
         report = BSServerPolicy(params=params, db=db).build_report(None, 1000.0)
-        outcome = BSClientPolicy(params=params, client_id=0).on_report(ctx, report)
-        assert outcome is ClientOutcome.READY
+        outcome = ClientPolicy(params=params, client_id=0).on_report(ctx, report)
+        assert outcome is SessionOutcome.READY
         assert 1 not in ctx.cache and 2 not in ctx.cache
         assert 9 in ctx.cache  # never updated: retained despite the gap
         assert ctx.drops == 0
@@ -108,6 +107,6 @@ class TestBS:
         ctx.cache_items((60, 5.0))
         ctx.tlb = 5.0  # older than TS(Bn)
         report = BSServerPolicy(params=params, db=db).build_report(None, 100.0)
-        BSClientPolicy(params=params, client_id=0).on_report(ctx, report)
+        ClientPolicy(params=params, client_id=0).on_report(ctx, report)
         assert len(ctx.cache) == 0
         assert ctx.drops == 1

@@ -32,7 +32,7 @@ from repro.schemes import (
     LossAdaptationConfig,
     LossAdaptiveController,
 )
-from repro.schemes.base import ClientOutcome
+from repro.schemes.base import SessionOutcome
 from repro.sim import HOTCOLD, UNIFORM, SystemParams, run_simulation
 
 WINDOW_SCHEMES = ("ts", "checking", "afw", "aaw", "gcore")
@@ -260,7 +260,7 @@ class ScriptedWorld:
                 if self.controller is not None:
                     self.controller.observe_salvage()
             self.uploads_fed = len(self.ctx.sent_tlbs)
-            if self.outcome is ClientOutcome.READY:
+            if self.outcome is SessionOutcome.READY:
                 # Consistency oracle: with no fetches in the script, a
                 # certified entry is fresh iff its version matches the
                 # database *right now* (every update predates the report
@@ -270,7 +270,7 @@ class ScriptedWorld:
         # "lost": state unchanged — but the client did not hear this
         # interval's report, so (paper semantics) it cannot answer
         # queries until the next one it does hear.
-        if status == "heard" and self.outcome is ClientOutcome.READY:
+        if status == "heard" and self.outcome is SessionOutcome.READY:
             return set(self.ctx.cache.item_ids())
         return set()
 
