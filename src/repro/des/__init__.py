@@ -2,8 +2,8 @@
 
 A from-scratch replacement for the CSIM package the paper used: coroutine
 processes, an event heap with deterministic (time, priority, FIFO)
-ordering, waitable stores and resources, named random streams, and
-statistics monitors.
+ordering, waitable stores, named random streams, and statistics
+monitors.
 
 Quick example::
 
@@ -21,36 +21,19 @@ Quick example::
 
 from .environment import Environment, Infinity
 from .errors import EmptySchedule, Interrupt, SimulationError, StopSimulation
-from .event import (
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
-    Event,
-    HIGH,
-    LOW,
-    NORMAL,
-    Timeout,
-    URGENT,
-)
+from .event import AnyOf, Event, HIGH, LOW, NORMAL, Timeout, URGENT
 from .monitor import Counter, Histogram, MetricSet, Tally, TimeWeighted
 from .process import Process
-from .queues import FilterStore, PriorityItem, PriorityStore, Store
-from .resource import Container, Preempted, PreemptiveResource, Request, Resource
+from .queues import PriorityItem, PriorityStore, Store
 from .rng import RandomStream, RandomStreams
 from .trace import TraceRecord, TraceRecorder
 
 __all__ = [
-    "AllOf",
     "AnyOf",
-    "Condition",
-    "ConditionValue",
-    "Container",
     "Counter",
     "EmptySchedule",
     "Environment",
     "Event",
-    "FilterStore",
     "Histogram",
     "HIGH",
     "Infinity",
@@ -59,14 +42,10 @@ __all__ = [
     "MetricSet",
     "NORMAL",
     "PriorityItem",
-    "Preempted",
-    "PreemptiveResource",
     "PriorityStore",
     "Process",
     "RandomStream",
     "RandomStreams",
-    "Request",
-    "Resource",
     "SimulationError",
     "StopSimulation",
     "Store",

@@ -6,7 +6,7 @@ import heapq
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple, Union
 
 from .errors import EmptySchedule, StopSimulation
-from .event import AllOf, AnyOf, Event, NORMAL, Timeout, _Wakeup
+from .event import AnyOf, Event, NORMAL, Timeout, _Wakeup
 from .process import Process
 
 Infinity = float("inf")
@@ -29,7 +29,7 @@ class Environment:
         Simulation clock value at construction (default 0.0).
     """
 
-    __slots__ = ("_now", "_heap", "_eid", "_active_process", "_tracer")
+    __slots__ = ("_now", "_heap", "_eid", "_tracer")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -37,7 +37,6 @@ class Environment:
         # stays Any because the wakeup fast lane only duck-types Event.
         self._heap: List[Tuple[float, int, int, Any]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
         self._tracer: Optional[Callable[[float, Any], None]] = None
 
     def __repr__(self) -> str:
@@ -52,11 +51,6 @@ class Environment:
     def scheduled_events(self) -> int:
         """Total events ever scheduled (the kernel's throughput unit)."""
         return self._eid
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     def set_tracer(self, tracer: Optional[Callable[[float, Any], None]]) -> None:
         """Install (or remove, with None) an event tracer.
@@ -119,12 +113,8 @@ class Environment:
         """Start a new :class:`Process` from *generator*."""
         return Process(self, generator, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that succeeds once all of *events* have succeeded."""
-        return AllOf(self, events)
-
     def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that succeeds once any of *events* has succeeded."""
+        """Event that fires with the first of *events* to fire."""
         return AnyOf(self, events)
 
     # -- scheduling & run loop ----------------------------------------------
@@ -221,7 +211,6 @@ class Environment:
             heap = self._heap
             pop = heapq.heappop
             wakeup_cls = _Wakeup
-            timeout_cls = Timeout
             bounded = stop_at != Infinity
             tracer = self._tracer  # set_tracer applies from the next run
             while heap:
@@ -230,20 +219,7 @@ class Environment:
                     return None
                 when, _prio, eid, event = pop(heap)
                 self._now = when
-                cls: Any = event.__class__
-                if cls is timeout_cls:
-                    proc = event._proc
-                    if proc is not None:
-                        # Private timeout: exactly one waiter, no callback
-                        # list walk, value known good.
-                        if tracer is not None:
-                            tracer(when, event)
-                        event._processed = True
-                        event.callbacks = None
-                        event._proc = None
-                        proc._resume(event)
-                        continue
-                elif cls is wakeup_cls:
+                if event.__class__ is wakeup_cls:
                     if event.eid == eid:  # stale (interrupted) wakes skip
                         if tracer is not None:
                             tracer(when, event)

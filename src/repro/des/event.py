@@ -19,7 +19,7 @@ eid)`` schedule sequence and is pinned by the kernel golden tests.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 if TYPE_CHECKING:
     from .environment import Environment
@@ -208,68 +208,27 @@ class _Wakeup:
         return f"<_Wakeup for {self.proc!r}>"
 
 
-class ConditionValue:
-    """Read-only mapping of the events that had fired when a condition met.
+class AnyOf(Event):
+    """Event that fires as soon as the first of *events* fires.
 
-    Supports ``cv[event]``, ``event in cv``, ``len(cv)`` and iteration in
-    the order the condition observed the events.
+    Succeeds with that child event as its value, or fails with its
+    exception if it failed; later children are ignored.  An empty list
+    succeeds at once (with None).
     """
 
-    __slots__ = ("_events",)
+    __slots__ = ()
 
-    def __init__(self, events: Iterable[Event]) -> None:
-        self._events: List[Event] = list(events)
-
-    def __getitem__(self, event: Event) -> Any:
-        if event not in self._events:
-            raise KeyError(event)
-        return event.value
-
-    def __contains__(self, event: object) -> bool:
-        return event in self._events
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
-
-    def values(self) -> List[Any]:
-        """Values of the fired events, in observation order."""
-        return [e.value for e in self._events]
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.values()!r}>"
-
-
-class Condition(Event):
-    """Composite event over a set of child events.
-
-    Succeeds with a :class:`ConditionValue` of the fired children once
-    *evaluate* (a predicate over ``(events, fired_count)``) returns True.
-    Fails as soon as any child fails.
-    """
-
-    __slots__ = ("_events", "_evaluate", "_fired")
-
-    def __init__(
-        self,
-        env: Environment,
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
+    def __init__(self, env: Environment, events: Iterable[Event]) -> None:
         super().__init__(env)
-        self._events: List[Event] = list(events)
-        self._evaluate = evaluate
-        self._fired: List[Event] = []
-        for event in self._events:
+        events = list(events)
+        for event in events:
             if event.env is not env:
                 raise ValueError("events of a condition must share one environment")
-        if not self._events and self._evaluate(self._events, 0):
-            self.succeed(ConditionValue([]))
+        if not events:
+            self.succeed()
             return
-        for event in self._events:
-            if event.processed:
+        for event in events:
+            if event._processed:
                 self._check(event)
             else:
                 # Unprocessed events always carry a callback list.
@@ -278,37 +237,7 @@ class Condition(Event):
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
             return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._fired.append(event)
-        if self._evaluate(self._events, len(self._fired)):
-            self.succeed(ConditionValue(self._fired))
-
-    @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        """Evaluator: every child fired."""
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: List[Event], count: int) -> bool:
-        """Evaluator: at least one child fired (vacuously true if empty)."""
-        return count > 0 or len(events) == 0
-
-
-class AllOf(Condition):
-    """Condition that succeeds when *all* child events have succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, env: Environment, events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Condition that succeeds when *any* child event has succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, env: Environment, events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_events, events)
+        if event._ok:
+            self.succeed(event)
+        else:
+            self.fail(event._value)

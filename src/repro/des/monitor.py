@@ -1,17 +1,20 @@
 """Statistics collectors for simulation outputs.
 
-Three collector styles cover the metrics the paper reports:
+Four collector styles cover the metrics the paper reports:
 
 * :class:`Counter` — monotone totals (queries answered, bits sent).
-* :class:`Tally` — moments of a sample sequence (query latency) via
-  Welford's online algorithm.
+* :class:`Tally` — running mean/min/max of a sample sequence (report
+  size).
+* :class:`Histogram` — a tally plus log-scale buckets for percentile
+  estimates (query latency).
 * :class:`TimeWeighted` — time-integral of a piecewise-constant level
-  (queue length, channel busy fraction).
+  (channel busy fraction).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Dict, Optional
 
 
@@ -35,24 +38,21 @@ class Counter:
 
 
 class Tally:
-    """Online mean/variance/min/max of observed samples."""
+    """Online mean/min/max of observed samples."""
 
-    __slots__ = ("name", "count", "_mean", "_m2", "min", "max")
+    __slots__ = ("name", "count", "_mean", "min", "max")
 
     def __init__(self, name: str = "tally") -> None:
         self.name = name
         self.count = 0
         self._mean = 0.0
-        self._m2 = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
         """Record one sample."""
         self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
+        self._mean += (value - self._mean) / self.count
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
@@ -62,16 +62,6 @@ class Tally:
     def mean(self) -> float:
         """Sample mean (0.0 when empty)."""
         return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0.0 with fewer than two samples)."""
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        """Sample standard deviation."""
-        return math.sqrt(self.variance)
 
     def __repr__(self) -> str:
         return f"<Tally {self.name} n={self.count} mean={self.mean:.4g}>"
@@ -91,11 +81,6 @@ class TimeWeighted:
         self._area = 0.0
         self._start = env_now
 
-    @property
-    def level(self) -> float:
-        """Current level."""
-        return self._level
-
     def set(self, level: float, now: float) -> None:
         """Change the level at time *now* (accumulates the closed interval)."""
         if now < self._last_time:
@@ -103,10 +88,6 @@ class TimeWeighted:
         self._area += self._level * (now - self._last_time)
         self._last_time = now
         self._level = level
-
-    def adjust(self, delta: float, now: float) -> None:
-        """Shift the level by *delta* at time *now*."""
-        self.set(self._level + delta, now)
 
     def average(self, now: float) -> float:
         """Time average over ``[start, now]`` (0.0 for an empty interval)."""
@@ -127,7 +108,7 @@ class Histogram:
     values.  Gives percentile estimates without storing samples.
     """
 
-    __slots__ = ("name", "base", "_counts", "_underflow", "count", "_tally")
+    __slots__ = ("name", "base", "_counts", "_underflow", "_tally")
 
     def __init__(self, base: float = 0.001, name: str = "histogram") -> None:
         if base <= 0:
@@ -136,20 +117,23 @@ class Histogram:
         self.base = base
         self._counts: Dict[int, int] = {}
         self._underflow = 0
-        self.count = 0
         self._tally = Tally(name)
 
     def observe(self, value: float) -> None:
         """Record one sample (negative values are rejected)."""
         if value < 0:
             raise ValueError("histogram samples must be non-negative")
-        self.count += 1
         self._tally.observe(value)
         if value < self.base:
             self._underflow += 1
             return
         bucket = int(math.floor(math.log2(value / self.base)))
         self._counts[bucket] = self._counts.get(bucket, 0) + 1
+
+    @property
+    def count(self) -> int:
+        """Number of samples."""
+        return self._tally.count
 
     @property
     def mean(self) -> float:
@@ -165,9 +149,10 @@ class Histogram:
         """Approximate q-quantile (upper edge of the covering bucket)."""
         if not 0 <= q <= 1:
             raise ValueError("q must be in [0, 1]")
-        if self.count == 0:
+        count = self._tally.count
+        if count == 0:
             return 0.0
-        target = q * self.count
+        target = q * count
         seen = self._underflow
         if seen >= target:
             return self.base
@@ -195,12 +180,11 @@ class MetricSet:
     without pre-registration; the runner snapshots everything at the end.
     """
 
-    __slots__ = ("counters", "tallies", "levels", "histograms")
+    __slots__ = ("counters", "tallies", "histograms")
 
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
         self.tallies: Dict[str, Tally] = {}
-        self.levels: Dict[str, TimeWeighted] = {}
         self.histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
@@ -230,15 +214,6 @@ class MetricSet:
             self.histograms[name] = h
             return h
 
-    def level(self, name: str, now: float = 0.0) -> TimeWeighted:
-        """Fetch-or-create the time-weighted level *name*."""
-        try:
-            return self.levels[name]
-        except KeyError:
-            lv = TimeWeighted(now, name=name)
-            self.levels[name] = lv
-            return lv
-
     # -- bound handles -------------------------------------------------------
     #
     # ``metrics.counter("x").add()`` costs a method call plus a dict
@@ -259,17 +234,20 @@ class MetricSet:
         """Resolve *name* once; call ``.observe()`` on the handle."""
         return self.histogram(name, base=base)
 
-    def snapshot(self, now: float) -> Dict[str, float]:
-        """Flatten every collector into a ``{name: value}`` dict."""
+    def snapshot(self) -> Dict[str, float]:
+        """Flatten every collector into a ``{name: value}`` dict.
+
+        A histogram flattens like a tally (``.count``, ``.mean``,
+        ``.max``, read from its own tally) plus ``.p50``/``.p95``/``.p99``.
+        """
         out: Dict[str, float] = {}
         for name, c in self.counters.items():
             out[name] = c.value
-        for name, t in self.tallies.items():
+        histogram_tallies = ((name, h._tally) for name, h in self.histograms.items())
+        for name, t in chain(self.tallies.items(), histogram_tallies):
             out[f"{name}.count"] = t.count
             out[f"{name}.mean"] = t.mean
             out[f"{name}.max"] = t.max if t.max is not None else 0.0
-        for name, lv in self.levels.items():
-            out[f"{name}.avg"] = lv.average(now)
         for name, h in self.histograms.items():
             out[f"{name}.p50"] = h.percentile(0.50)
             out[f"{name}.p95"] = h.percentile(0.95)

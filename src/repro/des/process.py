@@ -139,7 +139,6 @@ class Process(Event):
         surface is touched, hence the ``Any``.
         """
         env = self.env
-        env._active_process = self
         self._target = None
         send = self._send
         while True:
@@ -149,11 +148,9 @@ class Process(Event):
                 else:
                     next_target = self._generator.throw(event._value)
             except StopIteration as stop:
-                env._active_process = None
                 self.succeed(stop.value, priority=URGENT)
                 return
             except BaseException as exc:
-                env._active_process = None
                 if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                     raise
                 self.fail(exc, priority=URGENT)
@@ -172,12 +169,10 @@ class Process(Event):
                 ):
                     next_target._proc = self
                     self._target = next_target
-                    env._active_process = None
                     return
             if cls is not float and cls is not int:
                 if isinstance(next_target, Event):
                     if next_target.env is not env:
-                        env._active_process = None
                         self._generator.throw(
                             ValueError(
                                 "yielded event belongs to a different environment"
@@ -194,13 +189,11 @@ class Process(Event):
                     else:
                         next_target.callbacks.append(self._cb)  # type: ignore[union-attr]
                     self._target = next_target
-                    env._active_process = None
                     return
                 if isinstance(next_target, (float, int)):
                     # numpy floating scalars subclass float; normalise.
                     next_target = float(next_target)
                 else:
-                    env._active_process = None
                     self._generator.throw(
                         TypeError(f"process yielded a non-event: {next_target!r}")
                     )
@@ -219,5 +212,4 @@ class Process(Event):
             # The wake token ducks as the target event (see _Wakeup).
             self._target = wake  # type: ignore[assignment]
             heappush(env._heap, (env._now + next_target, NORMAL, eid, wake))
-            env._active_process = None
             return

@@ -105,7 +105,6 @@ class MobileClient:
         self._m_uplink_request_bits = bind(m.UPLINK_REQUEST_BITS)
         self._m_energy_tx = bind(ENERGY_TX)
         self._m_energy_rx = bind(ENERGY_RX)
-        self._m_latency_tally = metrics.bind_tally(m.QUERY_LATENCY)
         self._m_latency_hist = metrics.bind_histogram(m.QUERY_LATENCY, base=0.1)
         # Per-bit energy costs hoisted out of the per-message charge path.
         self._tx_nj_per_bit = params.energy.tx_nj_per_bit
@@ -480,7 +479,6 @@ class MobileClient:
             if self.timeseries is not None:
                 self.timeseries["answered"].record(env.now)
             latency = env.now - started
-            self._m_latency_tally.observe(latency)
             self._m_latency_hist.observe(latency)
             if self.query_log is not None:
                 from .querylog import QueryRecord

@@ -87,7 +87,7 @@ POOL_STRATA = "pool.strata_at_horizon"        # raw: distinct strata at end
 
 REPORT_COUNT_PREFIX = "reports."   # + ReportKind.value
 
-QUERY_LATENCY = "query.latency"    # tally
+QUERY_LATENCY = "query.latency"    # histogram
 REPORT_SIZE = "report.size_bits"   # tally
 
 
@@ -255,12 +255,12 @@ class SimulationResult:
 
 
 def finalize(
-    metrics: MetricSet, scheme: str, workload: str, sim_time: float, now: float
+    metrics: MetricSet, scheme: str, workload: str, sim_time: float
 ) -> SimulationResult:
     """Snapshot a :class:`MetricSet` into a :class:`SimulationResult`."""
     return SimulationResult(
         scheme=scheme,
         workload=workload,
         sim_time=sim_time,
-        raw=metrics.snapshot(now),
+        raw=metrics.snapshot(),
     )

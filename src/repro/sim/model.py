@@ -302,7 +302,6 @@ class SimulationModel:
             scheme=self.scheme.name,
             workload=self.workload.name,
             sim_time=self.params.simulation_time,
-            now=self.env.now,
         )
         # Kernel telemetry: lets the perf benches compute events/second
         # without reaching into Environment internals.

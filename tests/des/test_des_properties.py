@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Environment, PriorityStore, Store
+from repro.des import Environment, PriorityItem, PriorityStore, Store
 
 
 @given(
@@ -73,10 +73,10 @@ def test_priority_store_yields_sorted_order(items):
     got = []
 
     def run(env):
-        for it in items:
-            yield store.put(it)
+        for seq, it in enumerate(items):
+            yield store.put(PriorityItem(priority=it, seq=seq, item=it))
         for _ in items:
-            got.append((yield store.get()))
+            got.append((yield store.get()).item)
 
     env.run(until=env.process(run(env)))
     assert got == sorted(items)

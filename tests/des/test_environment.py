@@ -149,6 +149,51 @@ def test_event_callbacks_receive_the_event():
     assert box[0].value == 7
 
 
+def drive(env, driver):
+    """Drain *env* through run() or one step() at a time."""
+    if driver == "run":
+        env.run()
+    else:
+        while env.peek() != float("inf"):
+            env.step()
+
+
+@pytest.mark.parametrize("driver", ["run", "step"])
+def test_shared_timeout_wakes_every_waiter(driver):
+    env = Environment()
+    shared = env.timeout(5)
+    woken = []
+
+    def waiter(env, name):
+        yield shared
+        woken.append((name, env.now))
+
+    env.process(waiter(env, "first"))
+    env.process(waiter(env, "second"))
+    drive(env, driver)
+    assert woken == [("first", 5), ("second", 5)]
+
+
+@pytest.mark.parametrize("driver", ["run", "step"])
+def test_any_of_fires_on_a_timeout_another_process_waits_on(driver):
+    env = Environment()
+    shared = env.timeout(5)
+    woken = []
+
+    def waiter(env):
+        yield shared
+        woken.append(("waiter", env.now))
+
+    def racer(env):
+        yield env.any_of([shared, env.timeout(100)])
+        woken.append(("racer", env.now))
+
+    env.process(waiter(env))
+    env.process(racer(env))
+    drive(env, driver)
+    assert woken == [("waiter", 5), ("racer", 5)]
+
+
 class TestTimeoutFastLane:
     """Bare-number yields and env.sleep() take the allocation-free lane."""
 

@@ -1,8 +1,8 @@
-"""Tests for Event lifecycle, Timeout and condition events."""
+"""Tests for Event lifecycle, Timeout and the AnyOf condition."""
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment, Event
+from repro.des import AnyOf, Environment
 
 
 @pytest.fixture
@@ -83,50 +83,21 @@ class TestTimeout:
 
 
 class TestConditions:
-    def test_all_of_waits_for_every_event(self, env):
-        def proc(env):
-            t1 = env.timeout(1, value="a")
-            t2 = env.timeout(5, value="b")
-            result = yield env.all_of([t1, t2])
-            assert env.now == 5
-            assert result.values() == ["a", "b"]
-
-        env.run(until=env.process(proc(env)))
-
     def test_any_of_fires_on_first(self, env):
         def proc(env):
             t1 = env.timeout(1, value="fast")
             t2 = env.timeout(5, value="slow")
             result = yield env.any_of([t1, t2])
             assert env.now == 1
-            assert result.values() == ["fast"]
-            assert t1 in result
-            assert t2 not in result
-
-        env.run(until=env.process(proc(env)))
-
-    def test_all_of_empty_is_immediate(self, env):
-        def proc(env):
-            result = yield env.all_of([])
-            assert len(result) == 0
+            assert result is t1
+            assert result.value == "fast"
 
         env.run(until=env.process(proc(env)))
 
     def test_any_of_empty_is_immediate(self, env):
         def proc(env):
-            yield env.any_of([])
-
-        env.run(until=env.process(proc(env)))
-
-    def test_condition_value_mapping(self, env):
-        def proc(env):
-            t1 = env.timeout(1, value=10)
-            t2 = env.timeout(1, value=20)
-            result = yield env.all_of([t1, t2])
-            assert result[t1] == 10
-            assert result[t2] == 20
-            with pytest.raises(KeyError):
-                result[env.event()]
+            assert (yield env.any_of([])) is None
+            assert env.now == 0
 
         env.run(until=env.process(proc(env)))
 
@@ -137,14 +108,15 @@ class TestConditions:
 
         def proc(env):
             with pytest.raises(ValueError, match="inner"):
-                yield env.all_of([env.timeout(10), env.process(failer(env))])
+                yield env.any_of([env.timeout(10), env.process(failer(env))])
+            assert env.now == 1
 
         env.run(until=env.process(proc(env)))
 
     def test_condition_over_mixed_environments_rejected(self, env):
         other = Environment()
         with pytest.raises(ValueError):
-            AllOf(env, [env.timeout(1), other.timeout(1)])
+            AnyOf(env, [env.timeout(1), other.timeout(1)])
 
     def test_condition_with_already_processed_child(self, env):
         ev = env.event().succeed("pre")
@@ -152,8 +124,9 @@ class TestConditions:
         assert ev.processed
 
         def proc(env):
-            result = yield env.all_of([ev, env.timeout(2, value="post")])
-            assert result.values() == ["pre", "post"]
+            result = yield env.any_of([env.timeout(2, value="post"), ev])
+            assert result is ev
+            assert env.now == 0
 
         env.run(until=env.process(proc(env)))
 
@@ -163,10 +136,35 @@ class TestConditions:
             t2 = env.timeout(3, value=2)
             result = yield env.any_of([t1, t2])
             # Both fire at t=3; the condition triggers on the first one
-            # processed, so exactly one is captured.
-            assert len(result) == 1
+            # processed, and that one is its value.
+            assert result is t1
+            assert env.now == 3
 
         env.run(until=env.process(proc(env)))
+
+    def test_any_of_contract(self, env):
+        """The first child to fire is the value; a child that fails
+        first fails it; an already-processed child fires it at once; a
+        child of another environment is rejected; an empty list
+        succeeds at once."""
+        done = env.event().succeed("done")
+        env.run(until=0)
+        slow, fast = env.timeout(5), env.timeout(2)
+        race = env.any_of([slow, fast])
+        failing = env.event()
+        failed = env.any_of([env.timeout(1), failing])
+        failing.fail(KeyError("first"))
+        at_once = env.any_of([env.timeout(9), done])
+        empty = env.any_of([])
+        with pytest.raises(ValueError):
+            env.any_of([env.timeout(1), Environment().event()])
+        assert at_once.triggered and at_once.value is done
+        assert empty.triggered and empty.value is None
+        failed._defused = True  # nobody waits on it
+        env.run(until=3)
+        assert race.value is fast
+        assert failed.ok is False
+        assert isinstance(failed.value, KeyError)
 
 
 class TestYieldSemantics:

@@ -145,13 +145,3 @@ def test_priority_store_drains_in_key_order(keys):
             range(len(keys)), key=keys.__getitem__
         )
     assert len(store) == 0
-
-
-@given(values=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=40))
-@settings(max_examples=100)
-def test_priority_store_numeric_payloads_drain_sorted(values):
-    """Duplicate numeric payloads tie on the full key and still drain sorted."""
-    store = PriorityStore(Environment())
-    for v in values:
-        store.put_nowait(v)
-    assert [store.get().value for _ in values] == sorted(values)

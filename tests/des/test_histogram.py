@@ -55,8 +55,13 @@ class TestHistogram:
         ms = MetricSet()
         for v in (1.0, 5.0, 10.0):
             ms.histogram("lat").observe(v)
-        snap = ms.snapshot(0.0)
+        snap = ms.snapshot()
         assert "lat.p50" in snap and "lat.p95" in snap and "lat.p99" in snap
+        # The count, mean and max come from the histogram's own tally.
+        assert type(snap["lat.count"]) is int and snap["lat.count"] == 3
+        assert snap["lat.mean"] == pytest.approx(16.0 / 3)
+        assert snap["lat.max"] == 10.0
+        assert ms.tallies == {}
 
 
 @given(

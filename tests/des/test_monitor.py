@@ -1,7 +1,5 @@
 """Tests for statistics collectors."""
 
-import math
-
 import pytest
 
 from repro.des import Counter, MetricSet, Tally, TimeWeighted
@@ -31,12 +29,8 @@ class TestTally:
         for s in samples:
             t.observe(s)
         n = len(samples)
-        mean = sum(samples) / n
-        var = sum((s - mean) ** 2 for s in samples) / (n - 1)
         assert t.count == n
-        assert t.mean == pytest.approx(mean)
-        assert t.variance == pytest.approx(var)
-        assert t.stdev == pytest.approx(math.sqrt(var))
+        assert t.mean == pytest.approx(sum(samples) / n)
         assert t.min == 1.0
         assert t.max == 9.0
 
@@ -44,14 +38,12 @@ class TestTally:
         t = Tally()
         assert t.count == 0
         assert t.mean == 0.0
-        assert t.variance == 0.0
         assert t.min is None
 
     def test_single_sample(self):
         t = Tally()
         t.observe(5.0)
         assert t.mean == 5.0
-        assert t.variance == 0.0
 
 
 class TestTimeWeighted:
@@ -63,13 +55,6 @@ class TestTimeWeighted:
         lv = TimeWeighted(0.0, level=0.0)
         lv.set(2.0, now=5.0)   # 0 for [0,5), 2 for [5,10)
         assert lv.average(10.0) == pytest.approx(1.0)
-
-    def test_adjust(self):
-        lv = TimeWeighted(0.0, level=1.0)
-        lv.adjust(+1.0, now=4.0)
-        assert lv.level == 2.0
-        # 1*4 + 2*4 over 8
-        assert lv.average(8.0) == pytest.approx(1.5)
 
     def test_time_reversal_rejected(self):
         lv = TimeWeighted(5.0)
@@ -92,17 +77,15 @@ class TestMetricSet:
         m.counter("queries").add(7)
         m.tally("latency").observe(2.0)
         m.tally("latency").observe(4.0)
-        m.level("queue", now=0.0).set(1.0, now=5.0)
-        snap = m.snapshot(now=10.0)
+        snap = m.snapshot()
         assert snap["queries"] == 7
         assert snap["latency.count"] == 2
         assert snap["latency.mean"] == pytest.approx(3.0)
-        assert snap["queue.avg"] == pytest.approx(0.5)
 
     def test_snapshot_empty_tally_max(self):
         m = MetricSet()
         m.tally("x")
-        assert m.snapshot(0.0)["x.max"] == 0.0
+        assert m.snapshot()["x.max"] == 0.0
 
 
 class TestBoundHandles:
@@ -111,11 +94,11 @@ class TestBoundHandles:
         handle = m.bind_counter("energy.rx")
         assert handle is m.counter("energy.rx")
         handle.add(3.0)
-        assert m.snapshot(0.0)["energy.rx"] == 3.0
+        assert m.snapshot()["energy.rx"] == 3.0
 
     def test_bind_tally_is_the_same_object(self):
         m = MetricSet()
         handle = m.bind_tally("latency")
         assert handle is m.tally("latency")
         handle.observe(2.0)
-        assert m.snapshot(0.0)["latency.count"] == 1
+        assert m.snapshot()["latency.count"] == 1

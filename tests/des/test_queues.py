@@ -1,8 +1,8 @@
-"""Tests for Store, PriorityStore and FilterStore."""
+"""Tests for Store and PriorityStore."""
 
 import pytest
 
-from repro.des import Environment, FilterStore, PriorityItem, PriorityStore, Store
+from repro.des import Environment, PriorityItem, PriorityStore, Store
 
 
 @pytest.fixture
@@ -78,29 +78,6 @@ class TestStore:
         env.run()
         assert got == [("first", "a"), ("second", "b")]
 
-    def test_capacity_blocks_put(self, env):
-        store = Store(env, capacity=1)
-        trace = []
-
-        def producer(env):
-            yield store.put(1)
-            trace.append(("put1", env.now))
-            yield store.put(2)
-            trace.append(("put2", env.now))
-
-        def consumer(env):
-            yield env.timeout(5)
-            yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert trace == [("put1", 0), ("put2", 5)]
-
-    def test_zero_capacity_rejected(self, env):
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
-
     def test_len(self, env):
         store = Store(env)
         store.put("a")
@@ -115,10 +92,10 @@ class TestPriorityStore:
         got = []
 
         def run(env):
-            for v in (5, 1, 3):
-                yield store.put(v)
+            for seq, v in enumerate((5, 1, 3)):
+                yield store.put(PriorityItem(priority=v, seq=seq, item=v))
             for _ in range(3):
-                got.append((yield store.get()))
+                got.append((yield store.get()).item)
 
         env.run(until=env.process(run(env)))
         assert got == [1, 3, 5]
@@ -139,70 +116,11 @@ class TestPriorityStore:
 
     def test_peek(self, env):
         store = PriorityStore(env)
-        store.put(7)
-        store.put(3)
+        store.put(PriorityItem(priority=7, item="late"))
+        store.put(PriorityItem(priority=3, item="early"))
         env.run(until=0)
-        assert store.peek() == 3
+        assert store.peek().item == "early"
         assert len(store) == 2
-
-
-class TestFilterStore:
-    def test_filter_matches_non_head_item(self, env):
-        store = FilterStore(env)
-        got = []
-
-        def run(env):
-            yield store.put({"kind": "a", "n": 1})
-            yield store.put({"kind": "b", "n": 2})
-            item = yield store.get(lambda it: it["kind"] == "b")
-            got.append(item["n"])
-            item = yield store.get()
-            got.append(item["n"])
-
-        env.run(until=env.process(run(env)))
-        assert got == [2, 1]
-
-    def test_nonmatching_getter_does_not_block_others(self, env):
-        store = FilterStore(env)
-        got = []
-
-        def picky(env):
-            item = yield store.get(lambda it: it == "never")
-            got.append(("picky", item))
-
-        def easy(env):
-            item = yield store.get(lambda it: True)
-            got.append(("easy", item))
-
-        env.process(picky(env))
-        env.process(easy(env))
-
-        def producer(env):
-            yield env.timeout(1)
-            yield store.put("plain")
-
-        env.process(producer(env))
-        env.run()
-        assert got == [("easy", "plain")]
-
-    def test_waiting_filter_satisfied_later(self, env):
-        store = FilterStore(env)
-        got = []
-
-        def picky(env):
-            item = yield store.get(lambda it: it == "special")
-            got.append((item, env.now))
-
-        env.process(picky(env))
-
-        def producer(env):
-            yield store.put("plain")
-            yield env.timeout(3)
-            yield store.put("special")
-
-        env.process(producer(env))
-        env.run()
-        assert got == [("special", 3)]
 
 
 class TestPutNowait:
@@ -222,13 +140,6 @@ class TestPutNowait:
         store.put_nowait("x")
         env.run()
         assert got == ["x"]
-
-    def test_full_store_raises_instead_of_blocking(self, env):
-        store = Store(env, capacity=1)
-        store.put_nowait("x")
-        with pytest.raises(RuntimeError):
-            store.put_nowait("y")
-        assert store.items == ["x"]
 
     def test_matches_put_ordering(self, env):
         # Interleaving event-based puts with put_nowait keeps FIFO order.

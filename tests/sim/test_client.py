@@ -45,6 +45,19 @@ class TestQueryFlow:
         # transmission time plus a nontrivial report wait.
         assert result.raw[f"{QUERY_LATENCY}.mean"] > 6.5  # item tx alone is 6.55 s
 
+    def test_latency_is_observed_once_into_the_histogram(self):
+        """Each answered query's latency goes into the latency histogram
+        alone, whose own tally supplies the count, mean and max."""
+        model = SimulationModel(params(), UNIFORM, "ts")
+        result = model.run()
+        assert QUERY_LATENCY not in model.metrics.tallies
+        histogram = model.metrics.histograms[QUERY_LATENCY]
+        assert histogram.count == result.counter(QUERIES_ANSWERED) > 0
+        count = result.raw[f"{QUERY_LATENCY}.count"]
+        assert type(count) is int and count == histogram.count
+        assert result.raw[f"{QUERY_LATENCY}.mean"] == histogram.mean
+        assert result.raw[f"{QUERY_LATENCY}.max"] == histogram.max
+
     def test_small_db_high_locality_yields_hits(self):
         result = SimulationModel(
             params(

@@ -59,7 +59,7 @@ class TestFinalize:
         ms = MetricSet()
         ms.counter(m.QUERIES_ANSWERED).add(5)
         ms.tally(m.QUERY_LATENCY).observe(2.0)
-        result = finalize(ms, scheme="aaw", workload="HOTCOLD", sim_time=50.0, now=50.0)
+        result = finalize(ms, scheme="aaw", workload="HOTCOLD", sim_time=50.0)
         assert result.scheme == "aaw"
         assert result.workload == "HOTCOLD"
         assert result.queries_answered == 5.0
@@ -67,5 +67,5 @@ class TestFinalize:
 
     def test_summary_is_pure_floats(self):
         ms = MetricSet()
-        result = finalize(ms, "ts", "UNIFORM", 10.0, 10.0)
+        result = finalize(ms, "ts", "UNIFORM", 10.0)
         assert all(isinstance(v, float) for v in result.summary().values())
