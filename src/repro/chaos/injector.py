@@ -31,7 +31,7 @@ class ChaosInjector:
             horizon=model.params.simulation_time,
             n_clients=model.params.n_clients,
             streams=model.streams,
-            n_cells=getattr(model, "n_cells", 1),
+            n_cells=model.n_cells,
         )
         if self.schedule.clocks:
             for client in model.clients:
@@ -86,9 +86,9 @@ class ChaosInjector:
             metrics.counter(m.CLIENT_CRASHES).add()
 
     def _cell_outages(self, cell, plan):
-        """Walk one cell's outage plan (multi-cell models only: the
-        crash/restart consequences — evacuation, replica resync — live
-        in ``MultiCellModel.crash_cell`` / ``restart_cell``)."""
+        """Walk one cell's outage plan (the crash/restart consequences —
+        evacuation, replica resync — live in
+        ``SimulationModel.crash_cell`` / ``restart_cell``)."""
         env = self.model.env
         for crash_at, restart_at in plan:
             if crash_at > env.now:

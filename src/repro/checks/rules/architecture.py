@@ -37,7 +37,7 @@ LAYER_DAG: Dict[str, Tuple[str, ...]] = {
     "reports": ("des",),
     "schemes": ("reports", "cache", "db"),
     # The DAG is keyed by top-level subpackage: intra-package modules
-    # (sim.population, sim.propagation, sim.multicell, ...) are covered
+    # (sim.population, sim.propagation, sim.server, ...) are covered
     # by their package's node and impose no extra edges.
     "sim": ("schemes", "net", "analysis", "topology"),
     # The service tier reuses the certification core and the fault

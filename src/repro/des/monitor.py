@@ -3,7 +3,7 @@
 Four collector styles cover the metrics the paper reports:
 
 * :class:`Counter` — monotone totals (queries answered, bits sent).
-* :class:`Tally` — running mean/min/max of a sample sequence (report
+* :class:`Tally` — running mean/max of a sample sequence (report
   size).
 * :class:`Histogram` — a tally plus log-scale buckets for percentile
   estimates (query latency).
@@ -38,23 +38,20 @@ class Counter:
 
 
 class Tally:
-    """Online mean/min/max of observed samples."""
+    """Online mean/max of observed samples."""
 
-    __slots__ = ("name", "count", "_mean", "min", "max")
+    __slots__ = ("name", "count", "_mean", "max")
 
     def __init__(self, name: str = "tally") -> None:
         self.name = name
         self.count = 0
         self._mean = 0.0
-        self.min: Optional[float] = None
         self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
         """Record one sample."""
         self.count += 1
         self._mean += (value - self._mean) / self.count
-        if self.min is None or value < self.min:
-            self.min = value
         if self.max is None or value > self.max:
             self.max = value
 

@@ -25,7 +25,7 @@ from typing import Dict, Optional
 from ..cache import CacheEntry, ClientCache
 from ..des import Environment, Event
 from ..des.monitor import MetricSet
-from ..net import Channel, Message, MessageKind, SERVER_ID
+from ..net import Message, MessageKind, SERVER_ID
 from ..reports.sizes import checking_upload_bits, nack_upload_bits, tlb_upload_bits
 from ..schemes.session import ClientSession, SessionOutcome
 from . import metrics as m
@@ -39,6 +39,9 @@ _DATA = MessageKind.DATA_ITEM
 _READY = SessionOutcome.READY
 _PENDING = SessionOutcome.PENDING
 _LAGGED = SessionOutcome.LAGGED
+#: Uniform +-fraction jitter on each retry backoff delay (desynchronises
+#: retry storms after a shared loss burst).
+_BACKOFF_JITTER = 0.25
 
 
 class MobileClient:
@@ -51,26 +54,23 @@ class MobileClient:
         params,
         policy,
         query_pattern,
-        downlink: Channel,
-        uplink: Channel,
+        cell,
         metrics: MetricSet,
         streams,
         update_log=None,
-        ir_channel: Channel = None,
         query_log=None,
         timeseries=None,
-        cell_id: int = 0,
         pool=None,
+        roam=None,
         resume=None,
     ):
         self.env = env
         self.client_id = client_id
-        #: Which cell's base station this client is associated with.
-        self.cell_id = cell_id
+        #: The :class:`~repro.sim.model.Cell` whose base station this
+        #: client is associated with.
+        self.cell = cell
         self.params = params
         self.query_pattern = query_pattern
-        self.downlink = downlink
-        self.uplink = uplink
         self.metrics = metrics
         self.update_log = update_log
         self.query_log = query_log
@@ -78,10 +78,10 @@ class MobileClient:
         self.cache = ClientCache(params.cache_capacity)
         self.connected = True
         self._watchdog_armed = False
-        #: Roaming hook installed by the multi-cell model (None at N=1 —
-        #: an attribute test per wake-up, nothing more).  Called with
-        #: ``(client, now)`` when the client wakes from a disconnection.
-        self._roam = None
+        #: Roaming callback (None at N=1 — an attribute test per wake-up,
+        #: nothing more).  Called with ``(client, now)`` when the client
+        #: wakes from a disconnection.
+        self._roam = roam
         #: Clock error injected by the chaos layer (see ClockModel):
         #: defaults are a perfect clock and are exactly free — ``d * 1.0``
         #: is bit-identical in IEEE arithmetic.
@@ -132,7 +132,7 @@ class MobileClient:
         self._pool = pool
         self._resumed = resume is not None
         # Clients start coherent: at t=0 the cache matches the database.
-        tlb, report_cell, report_epoch = 0.0, cell_id, 0
+        tlb, report_cell, report_epoch = 0.0, cell.cell_id, 0
         if resume is not None:
             # Promoted from the population pool: start mid-doze with the
             # reconstructed stratum cache; :meth:`wake_from_pool` then
@@ -159,12 +159,8 @@ class MobileClient:
         )
         self._offer_report = self.session.offer_report
 
-        self._ir_channel = ir_channel
-        downlink.attach(self._on_downlink, dest=client_id, listening=resume is None)
-        if ir_channel is not None:
-            ir_channel.attach(
-                self._on_downlink, dest=client_id, listening=resume is None
-            )
+        for radio in cell.radios:
+            radio.attach(self._on_downlink, dest=client_id, listening=resume is None)
         env.process(self._query_loop(), name=f"client-{client_id}-query")
 
     def __repr__(self):
@@ -176,12 +172,17 @@ class MobileClient:
         """The session's last-heard report timestamp (the paper's ``Tlb``)."""
         return self.session.tlb
 
+    @property
+    def cell_id(self) -> int:
+        """Which cell's base station this client is associated with."""
+        return self.cell.cell_id
+
     # -- uplink for the session ------------------------------------------------
 
     def _upload(self, kind: MessageKind, size_bits: float, payload):
         """Charge the radio and send one message to the server."""
         self._m_energy_tx.add(self._tx_nj_per_bit * size_bits)
-        self.uplink.send(
+        self.cell.uplink.send(
             Message(
                 kind=kind,
                 size_bits=size_bits,
@@ -233,11 +234,10 @@ class MobileClient:
         self.session.reboot(self.cache, now)
         self._fire_ready()
 
-    # -- roaming (driven by repro.sim.multicell.MultiCellModel) -----------------
+    # -- roaming (driven by repro.sim.model.SimulationModel) --------------------
 
-    def hand_off(self, cell_id: int, downlink: Channel, uplink: Channel,
-                 ir_channel: Optional[Channel] = None):
-        """Re-associate with *cell_id*'s base station.
+    def hand_off(self, cell):
+        """Re-associate with *cell*'s base station.
 
         The radio re-attaches to the new cell's channels (keeping its
         doze/wake state); cache, ``Tlb`` and all certifications travel
@@ -249,20 +249,13 @@ class MobileClient:
         toward the old cell is stranded; the retry layer re-issues it on
         the new uplink (roaming therefore requires ``uplink_timeout``).
         """
-        self.downlink.detach(self._on_downlink)
-        if self._ir_channel is not None:
-            self._ir_channel.detach(self._on_downlink)
-        self.downlink = downlink
-        self.uplink = uplink
-        self._ir_channel = ir_channel
-        downlink.attach(
-            self._on_downlink, dest=self.client_id, listening=self.connected
-        )
-        if ir_channel is not None:
-            ir_channel.attach(
+        for radio in self.cell.radios:
+            radio.detach(self._on_downlink)
+        self.cell = cell
+        for radio in cell.radios:
+            radio.attach(
                 self._on_downlink, dest=self.client_id, listening=self.connected
             )
-        self.cell_id = cell_id
         self.session.hand_off()
 
     # -- population pool (driven by repro.sim.population) -----------------------
@@ -294,9 +287,8 @@ class MobileClient:
         call, no fault judgment) — the ``connected`` check in
         :meth:`_on_downlink` stays as defence in depth.
         """
-        self.downlink.set_listening(self._on_downlink, on)
-        if self._ir_channel is not None:
-            self._ir_channel.set_listening(self._on_downlink, on)
+        for radio in self.cell.radios:
+            radio.set_listening(self._on_downlink, on)
 
     def _on_downlink(self, msg: Message, now: float):
         if not self.connected:
@@ -426,9 +418,8 @@ class MobileClient:
                 # end this actor.  The pool's seeded wake promotes a
                 # reconstructed replacement at exactly ``now + doze`` —
                 # the instant this sleep would have returned.
-                self.downlink.detach(self._on_downlink)
-                if self._ir_channel is not None:
-                    self._ir_channel.detach(self._on_downlink)
+                for radio in self.cell.radios:
+                    radio.detach(self._on_downlink)
                 return True
             yield env.sleep(doze)
             if self._roam is not None:
@@ -554,10 +545,7 @@ class MobileClient:
         """Timeout for *attempt* (0-based): exponential with +-jitter."""
         params = self.params
         delay = params.uplink_timeout * (params.backoff_base ** attempt)
-        if params.backoff_jitter > 0.0:
-            delay *= 1.0 + params.backoff_jitter * self._retry_stream.uniform(
-                -1.0, 1.0
-            )
+        delay *= 1.0 + _BACKOFF_JITTER * self._retry_stream.uniform(-1.0, 1.0)
         # Retry timers run on the local (possibly drifting) clock.
         return delay * self._clock_rate
 

@@ -48,8 +48,6 @@ class SystemParams:
     window_intervals: int = 10                  # w
     timestamp_bits: int = DEFAULT_TIMESTAMP_BITS
     seed: int = 0
-    #: Serve concurrent requests for the same item with one broadcast.
-    coalesce_data_responses: bool = True
     #: Start clients with stationary-LRU cache contents, coherent with the
     #: untouched t=0 database.  Removes cold-start bias so short runs
     #: measure the steady state the paper's 100 000 s runs reach.
@@ -92,9 +90,6 @@ class SystemParams:
     max_retries: int = 3
     #: Exponential backoff multiplier applied per retry attempt.
     backoff_base: float = 2.0
-    #: Uniform +-fraction jitter on each backoff delay (desynchronises
-    #: retry storms after a shared loss burst).
-    backoff_jitter: float = 0.25
     #: Bound on the adaptive server's per-interval salvage state: at most
     #: this many distinct clients' ``Tlb`` uploads are buffered between
     #: broadcasts; later arrivals are counted and shed.  None = unbounded.
@@ -172,8 +167,6 @@ class SystemParams:
             raise ValueError("max_retries must be >= 0")
         if self.backoff_base < 1.0:
             raise ValueError("backoff_base must be >= 1")
-        if not 0.0 <= self.backoff_jitter < 1.0:
-            raise ValueError("backoff_jitter must be in [0, 1)")
         if self.max_pending_tlbs is not None and self.max_pending_tlbs < 1:
             raise ValueError("max_pending_tlbs must be >= 1")
         if self.loss_adaptation is not None:

@@ -81,8 +81,9 @@ class _Subscriber:
 class OriginFeed:
     """The gateway side of propagation: answers pulls, pushes deltas.
 
-    Owned by the multi-cell model; reads the origin database through the
-    gateway :class:`~repro.sim.server.Server` so a gateway crash
+    Owned by a multi-cell :class:`~repro.sim.model.SimulationModel`;
+    reads the origin database through the gateway
+    :class:`~repro.sim.server.Server` so a gateway crash
     silences it (pulls go unanswered, heartbeats stop, horizons stall)
     and a gateway restart's raised ``db.origin_time`` propagates as the
     amnesia floor of every subsequent delta and response.

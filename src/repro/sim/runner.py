@@ -16,15 +16,9 @@ def run_simulation(
     workload: Union[str, Workload],
     scheme: Union[str, Scheme],
 ) -> SimulationResult:
-    """Build and run one cell simulation; returns its metrics."""
+    """Build and run one simulation; returns its metrics."""
     if isinstance(workload, str):
         workload = workload_by_name(workload)
-    if params.roaming is not None:
-        # Multi-cell topology: the roaming knob group selects the
-        # subclassed model (bit-identical to this path at n_cells = 1).
-        from .multicell import MultiCellModel
-
-        return MultiCellModel(params, workload, scheme).run()
     return SimulationModel(params, workload, scheme).run()
 
 

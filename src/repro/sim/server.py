@@ -357,7 +357,7 @@ class Server:
     def _serve_data(self, msg: Message, now: float):
         item = msg.payload
         pending = self._pending_data.get(item)
-        if pending is not None and self.params.coalesce_data_responses:
+        if pending is not None:
             requesters = pending.payload["requesters"]
             if msg.src in requesters:
                 # A retransmission (the client's retry layer timed out

@@ -31,14 +31,12 @@ class TestTally:
         n = len(samples)
         assert t.count == n
         assert t.mean == pytest.approx(sum(samples) / n)
-        assert t.min == 1.0
         assert t.max == 9.0
 
     def test_empty_tally(self):
         t = Tally()
         assert t.count == 0
         assert t.mean == 0.0
-        assert t.min is None
 
     def test_single_sample(self):
         t = Tally()

@@ -58,7 +58,8 @@ class TestFinalize:
     def test_snapshot_includes_all_collectors(self):
         ms = MetricSet()
         ms.counter(m.QUERIES_ANSWERED).add(5)
-        ms.tally(m.QUERY_LATENCY).observe(2.0)
+        # The shape MobileClient produces: latency lives in a histogram.
+        ms.histogram(m.QUERY_LATENCY, base=0.1).observe(2.0)
         result = finalize(ms, scheme="aaw", workload="HOTCOLD", sim_time=50.0)
         assert result.scheme == "aaw"
         assert result.workload == "HOTCOLD"

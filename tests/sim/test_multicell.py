@@ -1,13 +1,16 @@
-"""Multi-cell layer: N=1 bit-identity pins + knob-group validation.
+"""Multi-cell layer: N=1 bit-identity pins, N>1 cells, knob validation.
 
-Two guarantees are pinned here:
+Three guarantees are pinned here:
 
 1. **N=1 equivalence** — a :class:`RoamingConfig` whose topology has a
-   single cell routes through :class:`MultiCellModel` yet is
-   *bit-identical* to the seed behaviour without the knob group: the
-   golden pins of every scheme hold unchanged, and the full raw metric
-   snapshot matches key for key (no multi-cell telemetry leaks in).
-2. **Knob validation** — inconsistent combinations (roaming without the
+   single cell builds one cell and is *bit-identical* to the seed
+   behaviour without the knob group: the golden pins of every scheme
+   hold unchanged, and the full raw metric snapshot matches key for key
+   (no multi-cell telemetry leaks in).
+2. **One model for N>1** — :class:`SimulationModel` itself builds every
+   cell of a larger topology, runs its roaming and cell-outage chaos,
+   and reports every cell's channels under their own names.
+3. **Knob validation** — inconsistent combinations (roaming without the
    retry layer, publishing in a fed cell, cell-outage chaos without a
    topology) die with a clear error before a simulation is built.
 """
@@ -15,8 +18,8 @@ Two guarantees are pinned here:
 import pytest
 
 from repro.chaos import ChaosConfig
-from repro.sim import UNIFORM, run_simulation
-from repro.sim.multicell import MultiCellModel
+from repro.net import FaultConfig
+from repro.sim import UNIFORM, SimulationModel, run_simulation
 from repro.sim.params import SystemParams
 from repro.topology import PROPAGATION_MODES, RoamingConfig, TopologyConfig
 
@@ -30,12 +33,13 @@ N1 = PARAMS.with_(roaming=RoamingConfig(topology=TopologyConfig(n_cells=1)))
 class TestSingleCellBitIdentity:
     """An N=1 topology must not move a single bit of any scheme."""
 
-    def test_n1_routes_through_the_multicell_model(self):
-        model = MultiCellModel(N1, UNIFORM, "ts")
+    def test_n1_builds_one_cell(self):
+        model = SimulationModel(N1, UNIFORM, "ts")
         assert model.n_cells == 1
+        assert [cell.server for cell in model.cells] == [model.server]
         assert model.feed is None
-        assert model.synchronizers == [None]
-        assert model.cooperators == [None]
+        assert model.server.sync is None
+        assert model.server.coop is None
 
     @pytest.mark.parametrize("scheme", sorted(GOLDEN))
     def test_n1_matches_every_golden_pin(self, scheme):
@@ -60,6 +64,57 @@ class TestSingleCellBitIdentity:
         baseline = run_simulation(PARAMS, UNIFORM, "ts")
         result = run_simulation(params, UNIFORM, "ts")
         assert visible(result.raw) == visible(baseline.raw)
+
+
+#: A three-cell path with the retry layer on and frequent roaming.
+N3 = PARAMS.with_(
+    uplink_timeout=60.0,
+    roaming=RoamingConfig(
+        topology=TopologyConfig(kind="path", n_cells=3), roam_prob=0.5
+    ),
+)
+
+
+class TestEveryCellInOneModel:
+    """SimulationModel builds, roams and crashes every cell of a graph."""
+
+    def test_model_builds_every_cell_and_roams(self):
+        model = SimulationModel(N3, UNIFORM, "aaw")
+        assert [cell.cell_id for cell in model.cells] == [0, 1, 2]
+        assert [cell.downlink.name for cell in model.cells] == [
+            "downlink", "downlink-1", "downlink-2"
+        ]
+        result = model.run()
+        assert result.raw["cells.n"] == 3
+        assert result.counter("roam.handoffs") > 0
+
+    def test_model_runs_cell_outage_chaos(self):
+        params = N3.with_(chaos=ChaosConfig(cell_crashes_at=((2, 500.0),)))
+        result = SimulationModel(params, UNIFORM, "aaw").run()
+        assert result.counter("chaos.cell_crashes") == 1
+        assert result.counter("chaos.cell_restarts") == 1
+
+    def test_every_cell_reports_its_channels(self):
+        params = N3.with_(
+            downlink_faults=FaultConfig(drop_prob=0.1),
+            uplink_faults=FaultConfig(drop_prob=0.05),
+        )
+        result = run_simulation(params, UNIFORM, "aaw")
+        raw = result.raw
+        assert raw["downlink-1.fault_judged"] > 0
+        assert raw["downlink-2.fault_judged"] > 0
+        channels = [
+            f"{kind}{cell}" for cell in ("", "-1", "-2")
+            for kind in ("downlink", "uplink")
+        ]
+        for c in channels:
+            assert f"{c}.utilization" in raw and f"{c}.bits_delivered" in raw
+        judged = sum(raw[f"{c}.fault_judged"] for c in channels)
+        intact = judged - sum(
+            raw[f"{c}.fault_drops"] + raw[f"{c}.fault_corruptions"]
+            for c in channels
+        )
+        assert result.goodput_ratio == pytest.approx(intact / judged)
 
 
 class TestKnobValidation:

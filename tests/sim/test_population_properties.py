@@ -101,9 +101,7 @@ def test_pool_conservation_across_handoffs(seed, roam_prob):
         ),
         aggregation=AggregationConfig(k_exact=4),
     )
-    from repro.sim.multicell import MultiCellModel
-
-    model = MultiCellModel(params, UNIFORM, "aaw")
+    model = SimulationModel(params, UNIFORM, "aaw")
     for checkpoint in (400.0, 1200.0):
         model.env.run(until=checkpoint)
         _pool_invariants(model)

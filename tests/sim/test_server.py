@@ -101,18 +101,6 @@ class TestDataService:
         # Every query still completes despite shared transmissions.
         assert result.counter(m_names.CACHE_MISSES) > 0
 
-    def test_coalescing_can_be_disabled(self):
-        params = small_params(
-            db_size=2,
-            n_clients=5,
-            think_time_mean=5.0,
-            simulation_time=400.0,
-            downlink_bps=3000.0,
-            coalesce_data_responses=False,
-        )
-        result = SimulationModel(params, UNIFORM, "ts").run()
-        assert result.counter(DATA_COALESCED) == 0
-
     def test_ir_bits_accounted(self):
         result = SimulationModel(small_params(), UNIFORM, "ts").run()
         assert result.counter(DOWNLINK_IR_BITS) > 0
