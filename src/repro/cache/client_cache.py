@@ -19,7 +19,7 @@ the scheme at the next report — see ``repro.schemes.base``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Iterable, List, Optional, Set, Tuple
 
 from .entry import CacheEntry
 from .lru import LRUCache
@@ -115,6 +115,35 @@ class ClientCache:
             self.invalidations += 1
             return True
         return False
+
+    def invalidate_stale(self, updates: Iterable[Tuple[int, float]]) -> int:
+        """Drop each cached item updated after its entry's effective time.
+
+        *updates* yields ``(item, ts)`` pairs, a report's update times.
+        Each item is looked up in the cache's own dict, without touching
+        recency; an entry whose :meth:`effective_ts` is older than its
+        ``ts`` (Figure 1's ``t_c < t_j`` test) goes through
+        :meth:`invalidate`.  Returns the number of entries dropped.
+        """
+        # The LRU map's own dict: a lookup costs no Python frame.
+        entry_of = self._lru._data.get
+        epoch = self._epoch
+        floor = self.certified_floor
+        dropped = 0
+        for item, ts in updates:
+            entry = entry_of(item)
+            if entry is None:
+                continue
+            # effective_ts(entry), inline: dropping an entry moves
+            # neither the epoch nor the floor.
+            if entry.cert_epoch < epoch and floor > entry.ts:
+                effective = floor
+            else:
+                effective = entry.ts
+            if ts > effective:
+                self.invalidate(item)
+                dropped += 1
+        return dropped
 
     def unreconciled_entries(self) -> List[CacheEntry]:
         """Snapshot of the suspect entries still cached.

@@ -2,16 +2,18 @@
 
 The injector owns the chaos-side plumbing so the simulation model stays
 declarative: it expands the configured :class:`ChaosConfig` into a
-deterministic plan, assigns per-client clock models, and runs (at most)
-two DES processes — one walking the server outage plan, one walking the
-client crash plan.  All protocol-level consequences live in the actors
-themselves (``Server.crash``/``Server.restart``,
-``MobileClient.crash``); the injector only decides *when*.
+deterministic plan, assigns per-client clock models, and runs DES
+processes that walk the plans: one for the gateway server's outages,
+one for client crashes and one per cell with outages.  All
+protocol-level consequences live in the model and the actors
+(``SimulationModel.hold_down``/``release``, ``MobileClient.crash``);
+the injector only decides *when*.
 
 A server restart needs a fresh scheme policy (the crash discards the
 old incarnation's report caches, combiners and salvage buffers), which
 only the model can build — hence the injector is constructed with the
-whole model, not just the environment.
+whole model, not just the environment.  The server walker and a cell-0
+walker hold the same gateway: it stays down while either outage lasts.
 """
 
 from __future__ import annotations
@@ -53,25 +55,24 @@ class ChaosInjector:
                 )
 
     def _server_outages(self):
+        """Walk the gateway server's outage plan."""
         env = self.model.env
         metrics = self.model.metrics
         for crash_at, restart_at in self.schedule.server_outages:
             if crash_at > env.now:
                 yield env.sleep(crash_at - env.now)
-            self.model.server.crash(env.now)
+            self.model.hold_down(0, env.now)
             metrics.counter(m.SERVER_CRASHES).add()
             if restart_at > env.now:
                 yield env.sleep(restart_at - env.now)
             metrics.counter(m.SERVER_DOWNTIME).add(env.now - crash_at)
             if restart_at >= self.schedule.horizon:
                 return  # the final outage never ends on-stage
-            # The new incarnation rebuilds every piece of volatile policy
-            # state (report caches, signature combiners, salvage buffers)
-            # from the durable database.
-            policy = self.model.scheme.make_server_policy(
-                self.model.params, self.model.db
-            )
-            self.model.server.restart(env.now, policy)
+            # Unless a cell-0 outage still holds it, the gateway comes
+            # back as a new incarnation that rebuilds every piece of
+            # volatile policy state (report caches, signature combiners,
+            # salvage buffers) from the durable database.
+            self.model.release(0, env.now)
             metrics.counter(m.SERVER_RESTARTS).add()
 
     def _client_crashes(self):

@@ -15,7 +15,7 @@ not depend on creation order.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -84,6 +84,18 @@ class RandomStream:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability {p} outside [0, 1]")
         return bool(self._gen.random() < p)
+
+    def uniforms(self, n: int) -> List[float]:
+        """The stream's next *n* uniform floats in ``[0, 1)``, as a list.
+
+        Equal to *n* successive draws of the scalar ``random()`` that
+        :meth:`bernoulli` compares against: PCG64 fills an array with the
+        same ``next_double`` sequence.  A caller that draws a block ahead
+        of use must own the stream outright — nothing else may draw from
+        it — so the unused tail of its last block is never seen.
+        """
+        values: List[float] = self._gen.random(n).tolist()
+        return values
 
     def poisson_at_least_one(self, mean: float) -> int:
         """A positive integer with the given mean, via 1 + Poisson(mean-1).

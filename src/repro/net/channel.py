@@ -29,6 +29,8 @@ from .messages import BROADCAST, Message, PRIORITY_IR
 Receiver = Callable[[Message, float], None]
 
 _attach_order = attrgetter("key")
+_DROP = Fate.DROP
+_CORRUPT = Fate.CORRUPT
 
 
 class _Receiver:
@@ -352,34 +354,36 @@ class Channel:
                     receivers = self._listening = tuple(
                         rec for rec in self._receivers if rec.listening
                     )
-                if faults is None:
-                    # Pristine broadcast: the hottest dispatch path.
-                    for rec in receivers:
-                        rec.callback(message, now)
-                    if done is not None:
-                        self._complete(done, message)
-                    return
             else:
                 # A coalesced data response: only its requesters (and
                 # promiscuous watchers) need to decode the broadcast.
                 receivers = self._targets(recipients)
         else:
             receivers = self._targets((message.dest,))
-        corrupted_copy: Optional[Message] = None
-        # Fault fates are judged only for receivers that are actually
-        # dispatched to — dozing clients and unaddressed bystanders
-        # consume no draws (see docs/PROTOCOLS.md).
-        for rec in receivers:
-            if faults is not None and not rec.wired:
-                fate = faults.fate(message, rec.key)
-                if fate is Fate.DROP:
-                    continue
-                if fate is Fate.CORRUPT:
-                    if corrupted_copy is None:
-                        corrupted_copy = replace(message, corrupted=True)
-                        corrupted_copy.delivered_at = now
-                    rec.callback(corrupted_copy, now)
-                    continue
-            rec.callback(message, now)
+        if faults is None:
+            # Pristine medium: a pristine broadcast is the hottest
+            # dispatch path.
+            for rec in receivers:
+                rec.callback(message, now)
+        else:
+            # One judgment for the whole delivery, covering only the
+            # non-wired receivers actually dispatched to: dozing clients
+            # and unaddressed bystanders consume no draws (see
+            # docs/PROTOCOLS.md).
+            keys = [rec.key for rec in receivers if not rec.wired]
+            fates = iter(faults.judge(message, keys))
+            corrupted_copy: Optional[Message] = None
+            for rec in receivers:
+                if not rec.wired:
+                    fate = next(fates)
+                    if fate is _DROP:
+                        continue
+                    if fate is _CORRUPT:
+                        if corrupted_copy is None:
+                            corrupted_copy = replace(message, corrupted=True)
+                            corrupted_copy.delivered_at = now
+                        rec.callback(corrupted_copy, now)
+                        continue
+                rec.callback(message, now)
         if done is not None:
             self._complete(done, message)

@@ -24,7 +24,8 @@ test in ``tests/sim/test_faults.py`` pins this).
 
 Faults are judged *per receiver* at delivery time: on a broadcast medium
 each listener decodes (or fails to decode) independently, which is what
-lets one client miss a report the rest of the cell heard.
+lets one client miss a report the rest of the cell heard.  The channel
+hands one delivery's receivers to :meth:`FaultModel.judge` in one call.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .messages import Message, MessageKind
 
@@ -43,6 +44,14 @@ class Fate(enum.Enum):
     DELIVER = "deliver"
     DROP = "drop"
     CORRUPT = "corrupt"
+
+
+_DELIVER = Fate.DELIVER
+_DROP = Fate.DROP
+_CORRUPT = Fate.CORRUPT
+
+#: Uniforms a :class:`FaultModel` draws from its stream per refill.
+BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -157,7 +166,15 @@ class FaultModel:
 
     Holds the per-receiver Gilbert–Elliott chain states and the fault
     telemetry.  One instance per channel; the channel calls
-    :meth:`fate` once per non-wired receiver per delivered message.
+    :meth:`judge` once per delivered message with its non-wired
+    receivers.
+
+    The model owns its stream: nothing else draws from it.  It takes
+    uniforms from a block it refills :data:`BLOCK` at a time and compares
+    each with a probability exactly as ``RandomStream.bernoulli`` would,
+    so its fates equal those of one scalar draw per decision.  Because no
+    other consumer reads the stream, the unused tail of the last block
+    cannot be seen from outside.
     """
 
     def __init__(self, config: FaultConfig, stream):
@@ -168,6 +185,9 @@ class FaultModel:
         self._bad: Dict[int, bool] = {}
         self._null = config.is_null
         self._bursty = config.ge_good_to_bad > 0.0
+        #: Uniforms drawn ahead of use; ``_block[_pos]`` is the next one.
+        self._block: List[float] = []
+        self._pos = 0
 
     def __repr__(self):
         return f"<FaultModel null={self._null} stats={self.stats}>"
@@ -182,35 +202,77 @@ class FaultModel:
         return self._bad.get(receiver_key, False)
 
     def fate(self, message: Message, receiver_key: int) -> Fate:
-        """Judge one delivery; updates chain state and telemetry."""
-        if self._null:
-            return Fate.DELIVER
+        """Judge one delivery: the one-receiver case of :meth:`judge`."""
+        return self.judge(message, (receiver_key,))[0]
+
+    def judge(self, message: Message, receiver_keys: Sequence[int]) -> List[Fate]:
+        """Judge one delivery of *message* to each receiver, in order.
+
+        Returns one :class:`Fate` per key and updates the chain states and
+        telemetry.  A key may repeat; each occurrence steps its chain.
+        """
+        n = len(receiver_keys)
+        if self._null or not n:
+            return [_DELIVER] * n
         cfg = self.config
         stats = self.stats
-        stats.judged += 1
-        drop_prob = cfg.drop_prob_for(message.kind)
-        if self._bursty:
-            bad = self._bad.get(receiver_key, False)
-            if bad:
-                if self.stream.bernoulli(cfg.ge_bad_to_good):
-                    bad = False
-            elif self.stream.bernoulli(cfg.ge_good_to_bad):
-                bad = True
-                stats.bursts += 1
-            self._bad[receiver_key] = bad
-            if bad:
-                drop_prob = cfg.ge_bad_drop_prob
-        if drop_prob > 0.0 and self.stream.bernoulli(drop_prob):
-            stats.dropped += 1
-            stats.dropped_bits += message.size_bits
-            kinds = stats.dropped_by_kind
-            kinds[message.kind] = kinds.get(message.kind, 0) + 1
-            return Fate.DROP
-        corrupt_prob = cfg.corrupt_prob_for(message.size_bits)
-        if corrupt_prob > 0.0 and self.stream.bernoulli(corrupt_prob):
-            stats.corrupted += 1
-            stats.corrupted_bits += message.size_bits
-            kinds = stats.corrupted_by_kind
-            kinds[message.kind] = kinds.get(message.kind, 0) + 1
-            return Fate.CORRUPT
-        return Fate.DELIVER
+        kind = message.kind
+        size_bits = message.size_bits
+        # Both probabilities depend on the message alone.
+        drop_prob = cfg.drop_prob_for(kind)
+        corrupt_prob = cfg.corrupt_prob_for(size_bits)
+        # A receiver takes at most three uniforms (chain step, drop,
+        # corruption): top the block up once so the loop never checks.
+        block = self._block
+        pos = self._pos
+        if len(block) - pos < 3 * n:
+            block = block[pos:]
+            pos = 0
+            while len(block) < 3 * n:
+                block += self.stream.uniforms(BLOCK)
+            self._block = block
+        bursty = self._bursty
+        chains = self._bad
+        to_good = cfg.ge_bad_to_good
+        to_bad = cfg.ge_good_to_bad
+        bad_drop_prob = cfg.ge_bad_drop_prob
+        fates: List[Fate] = []
+        for key in receiver_keys:
+            prob = drop_prob
+            if bursty:
+                bad = chains.get(key, False)
+                u = block[pos]
+                pos += 1
+                if bad:
+                    if u < to_good:
+                        bad = False
+                elif u < to_bad:
+                    bad = True
+                    stats.bursts += 1
+                chains[key] = bad
+                if bad:
+                    prob = bad_drop_prob
+            if prob > 0.0:
+                u = block[pos]
+                pos += 1
+                if u < prob:
+                    stats.dropped += 1
+                    stats.dropped_bits += size_bits
+                    kinds = stats.dropped_by_kind
+                    kinds[kind] = kinds.get(kind, 0) + 1
+                    fates.append(_DROP)
+                    continue
+            if corrupt_prob > 0.0:
+                u = block[pos]
+                pos += 1
+                if u < corrupt_prob:
+                    stats.corrupted += 1
+                    stats.corrupted_bits += size_bits
+                    kinds = stats.corrupted_by_kind
+                    kinds[kind] = kinds.get(kind, 0) + 1
+                    fates.append(_CORRUPT)
+                    continue
+            fates.append(_DELIVER)
+        self._pos = pos
+        stats.judged += n
+        return fates

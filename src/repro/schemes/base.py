@@ -90,12 +90,7 @@ def apply_window_report(cache: ClientCache, report) -> int:
         if report.newest_ts <= floor:
             cache.certify(report.timestamp)
             return 0
-        dropped = 0
-        for item, ts in report.fresh_since(floor):
-            entry = cache.peek(item)
-            if entry is not None and ts > cache.effective_ts(entry):
-                cache.invalidate(item)
-                dropped += 1
+        dropped = cache.invalidate_stale(report.fresh_since(floor))
         cache.certify(report.timestamp)
         return dropped
     dropped = 0
@@ -107,11 +102,7 @@ def apply_window_report(cache: ClientCache, report) -> int:
             dropped += 1
     items = report.items
     if len(items) <= len(cache):
-        for item, ts in items.items():
-            entry = cache.peek(item)
-            if entry is not None and ts > cache.effective_ts(entry):
-                cache.invalidate(item)
-                dropped += 1
+        dropped += cache.invalidate_stale(items.items())
     else:
         for entry in cache.entries():
             ts = items.get(entry.item)

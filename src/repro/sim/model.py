@@ -42,7 +42,9 @@ from .workload import Workload
 class Cell:
     """One base station: its server and the channels its residents use."""
 
-    __slots__ = ("cell_id", "server", "downlink", "uplink", "ir_channel")
+    __slots__ = (
+        "cell_id", "server", "downlink", "uplink", "ir_channel", "outages"
+    )
 
     def __init__(
         self,
@@ -58,6 +60,8 @@ class Cell:
         self.uplink = uplink
         #: Dedicated report channel (None: reports share the downlink).
         self.ir_channel = ir_channel
+        #: Chaos outages holding the server down right now.
+        self.outages = 0
 
     @property
     def radios(self) -> tuple:
@@ -447,11 +451,9 @@ class SimulationModel:
     # -- whole-cell outages (driven by repro.chaos.ChaosInjector) ---------------
 
     def crash_cell(self, cell: int, now: float):
-        """Take a whole cell down and evacuate its residents."""
-        server = self.cells[cell].server
-        if server.crashed:
-            return
-        server.crash(now)
+        """A whole-cell outage begins: the cell goes down and its
+        residents evacuate."""
+        self.hold_down(cell, now)
         self.metrics.counter(m.CELL_CRASHES).add()
         self._evacuate(cell)
 
@@ -474,17 +476,38 @@ class SimulationModel:
                            m.ROAM_EVACUATIONS)
 
     def restart_cell(self, cell: int, now: float):
-        """Bring a crashed cell back with a fresh incarnation.
+        """A whole-cell outage ends (see :meth:`release`)."""
+        self.metrics.counter(m.CELL_RESTARTS).add()
+        self.release(cell, now)
+
+    def hold_down(self, cell: int, now: float):
+        """Begin one outage of *cell*'s server; the first crashes it.
+
+        Outages of one cell may overlap — the gateway is held by its own
+        cell outages and by the chaos server walker — and the server
+        stays down while any of them holds it.
+        """
+        held = self.cells[cell]
+        held.outages += 1
+        if held.outages == 1:
+            held.server.crash(now)
+
+    def release(self, cell: int, now: float):
+        """End one outage of *cell*'s server; the last brings it back
+        as a fresh incarnation.
 
         The gateway restarts exactly like the single-cell server (its
         database is the durable origin; only update-time knowledge is
-        lost).  A fed cell's replica was *volatile*: the new incarnation
-        starts from a blank database with horizon ``NEVER``, sheds every
-        uplink arrival, and resyncs via an immediate snapshot pull.
+        lost).  A fed cell's replica was
+        *volatile*: the new incarnation starts from a blank database with
+        horizon ``NEVER``, sheds every uplink arrival, and resyncs via an
+        immediate snapshot pull.
         """
-        server = self.cells[cell].server
-        if not server.crashed:
+        held = self.cells[cell]
+        held.outages -= 1
+        if held.outages:
             return
+        server = held.server
         if cell == 0:
             policy = self.scheme.make_server_policy(self.params, self.db)
             server.restart(now, policy)
@@ -493,7 +516,6 @@ class SimulationModel:
             policy = self.scheme.make_server_policy(self.params, replica)
             server.restart(now, policy, replica_db=replica)
             server.sync.reset()
-        self.metrics.counter(m.CELL_RESTARTS).add()
 
     # -- run ----------------------------------------------------------------------
 

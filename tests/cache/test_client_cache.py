@@ -1,5 +1,8 @@
 """Tests for the client cache's certification-floor semantics."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.cache import CacheEntry, ClientCache
 
 
@@ -82,3 +85,83 @@ class TestClientCache:
         cc.peek(1)
         cc.insert(entry(3))
         assert 1 not in cc
+
+
+def reference_drop(cache, updates):
+    """The per-item drop loop that ``invalidate_stale`` replaces: one
+    ``peek`` and one ``effective_ts`` per report item."""
+    dropped = 0
+    for item, ts in updates:
+        entry = cache.peek(item)
+        if entry is not None and ts > cache.effective_ts(entry):
+            cache.invalidate(item)
+            dropped += 1
+    return dropped
+
+
+# Times on a coarse grid, so update times often equal an entry's ts or
+# the certification floor (the boundary of the strict test).
+_times = st.integers(0, 12).map(lambda k: 10.0 * k)
+_items = st.integers(0, 15)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _items, _times, st.booleans()),
+        st.tuples(st.just("certify"), _times),
+        st.tuples(st.just("lookup"), _items),
+    ),
+    max_size=40,
+)
+
+
+def build(capacity, ops):
+    cache = ClientCache(capacity)
+    for op in ops:
+        if op[0] == "insert":
+            _, item, ts, suspect = op
+            cache.insert(CacheEntry(item=item, version=1, ts=ts), suspect=suspect)
+        elif op[0] == "certify":
+            cache.certify(op[1])
+        else:
+            cache.lookup(op[1])
+    return cache
+
+
+class TestInvalidateStaleMatchesThePeekLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(1, 12),
+        ops=_ops,
+        updates=st.lists(st.tuples(st.integers(0, 20), _times), max_size=25),
+    )
+    def test_same_drops_counters_and_lru_order(self, capacity, ops, updates):
+        got = build(capacity, ops)
+        want = build(capacity, ops)
+        before = set(got.item_ids())
+        assert got.invalidate_stale(updates) == reference_drop(want, updates)
+        assert before - set(got.item_ids()) == before - set(want.item_ids())
+        assert got.item_ids() == want.item_ids()
+        assert got.invalidations == want.invalidations
+        assert got.unreconciled == want.unreconciled
+        assert got.certified_floor == want.certified_floor
+        assert got.epoch == want.epoch
+
+    def test_mixes_certified_uncertified_and_suspect_entries(self):
+        cc = ClientCache(capacity=8)
+        cc.insert(entry(1, ts=5.0))  # certified below the floor
+        cc.insert(entry(2, ts=30.0))  # certified above the floor
+        cc.certify(20.0)
+        cc.insert(entry(3, ts=25.0))  # fetched after the certification
+        cc.insert(entry(4, ts=10.0), suspect=True)
+        updates = [
+            (1, 15.0),  # older than the floor: kept
+            (1, 20.0),  # equal to the floor: kept
+            (2, 25.0),  # older than the entry's own ts: kept
+            (2, 31.0),  # dropped
+            (3, 25.0),  # equal to the entry's own ts: kept
+            (4, 15.0),  # dropped
+            (9, 99.0),  # not cached
+        ]
+        assert cc.invalidate_stale(updates) == 2
+        assert cc.item_ids() == [1, 3]
+        assert cc.invalidations == 2
+        assert cc.unreconciled == set()

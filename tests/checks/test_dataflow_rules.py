@@ -54,6 +54,13 @@ def test_det004_cross_fixture_flags_the_dag_crossing_pass():
     assert "'des'" in f.message and "'sim'" in f.message
 
 
+def test_det004_traces_block_draws_like_scalar_draws():
+    findings = _run("det004_block", "DET004")
+    assert [(f.path, f.line) for f in findings] == [("repro/net/blocks.py", 10)]
+    assert "draw .uniforms()" in findings[0].message
+    assert "not traceable" in findings[0].message
+
+
 def test_det004_clean_fixture_has_no_findings():
     assert _run("det004_clean", "DET004") == []
 

@@ -1,18 +1,26 @@
 """Unit tests for the wireless fault-injection layer (repro.net.faults)."""
 
-import pytest
+import random
+from dataclasses import fields
+from unittest import mock
 
-from repro.des import Environment, RandomStreams
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.des import Environment, RandomStream, RandomStreams
 from repro.net import (
     BROADCAST,
     Channel,
     Fate,
     FaultConfig,
     FaultModel,
+    FaultStats,
     Message,
     MessageKind,
     SERVER_ID,
 )
+from repro.net import faults as faults_module
 
 
 def msg(kind=MessageKind.DATA_ITEM, size=100, payload=None):
@@ -84,6 +92,7 @@ class TestFaultModel:
         assert model.is_null
         for _ in range(10):
             assert model.fate(msg(), receiver_key=0) is Fate.DELIVER
+        assert model.judge(msg(), [0, 1, 1, 2]) == [Fate.DELIVER] * 4
         assert model.stats.judged == 0
 
     def test_certain_drop(self):
@@ -193,3 +202,205 @@ class TestChannelIntegration:
         ch.attach(lambda m, now: seen.append(m.payload))
         env.run(until=ch.send(msg(size=100, payload="x")))
         assert seen == ["x"]
+
+
+class _ReferenceFaults:
+    """The per-receiver judge drawn one decision at a time: one
+    ``stream.bernoulli`` per draw.  The block-drawn :class:`FaultModel`
+    must reproduce it exactly."""
+
+    def __init__(self, config, stream):
+        self.config = config
+        self.stream = stream
+        self.stats = FaultStats()
+        self.bad = {}
+
+    def fate(self, message, receiver_key):
+        cfg = self.config
+        if cfg.is_null:
+            return Fate.DELIVER
+        stats = self.stats
+        stats.judged += 1
+        drop_prob = cfg.drop_prob_for(message.kind)
+        if cfg.ge_good_to_bad > 0.0:
+            bad = self.bad.get(receiver_key, False)
+            if bad:
+                if self.stream.bernoulli(cfg.ge_bad_to_good):
+                    bad = False
+            elif self.stream.bernoulli(cfg.ge_good_to_bad):
+                bad = True
+                stats.bursts += 1
+            self.bad[receiver_key] = bad
+            if bad:
+                drop_prob = cfg.ge_bad_drop_prob
+        if drop_prob > 0.0 and self.stream.bernoulli(drop_prob):
+            stats.dropped += 1
+            stats.dropped_bits += message.size_bits
+            kinds = stats.dropped_by_kind
+            kinds[message.kind] = kinds.get(message.kind, 0) + 1
+            return Fate.DROP
+        corrupt_prob = cfg.corrupt_prob_for(message.size_bits)
+        if corrupt_prob > 0.0 and self.stream.bernoulli(corrupt_prob):
+            stats.corrupted += 1
+            stats.corrupted_bits += message.size_bits
+            kinds = stats.corrupted_by_kind
+            kinds[message.kind] = kinds.get(message.kind, 0) + 1
+            return Fate.CORRUPT
+        return Fate.DELIVER
+
+
+def assert_same_stats(got, want):
+    for f in fields(FaultStats):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+_probs = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_kinds = st.sampled_from(list(MessageKind))
+
+
+@st.composite
+def fault_configs(draw):
+    bursty = draw(st.booleans())
+    return FaultConfig(
+        drop_prob=draw(_probs),
+        drop_prob_by_kind=draw(
+            st.one_of(st.none(), st.dictionaries(_kinds, _probs, max_size=3))
+        ),
+        bit_error_rate=draw(
+            st.one_of(st.sampled_from([0.0, 1e-6, 1e-3, 1.0]), st.floats(0.0, 1.0))
+        ),
+        ge_good_to_bad=draw(_probs) if bursty else 0.0,
+        ge_bad_to_good=draw(st.sampled_from([1e-12, 0.3, 1.0])),
+        ge_bad_drop_prob=draw(_probs),
+    )
+
+
+#: One delivery: its kind, size, receiver count, the seed that lays out
+#: its receivers, and whether to judge it one ``fate()`` at a time.
+_deliveries = st.lists(
+    st.tuples(
+        _kinds,
+        st.one_of(st.sampled_from([0, 1, 64, 65_536]), st.floats(0.0, 1e6)),
+        st.integers(0, 150),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestBlockDrawsMatchTheReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        config=fault_configs(),
+        script=_deliveries,
+        pool=st.integers(1, 40),
+        block=st.sampled_from([1, 2, 7, 64, faults_module.BLOCK]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_judge_equals_one_draw_per_decision(
+        self, config, script, pool, block, seed
+    ):
+        model = FaultModel(config, RandomStream(seed, "faults/downlink"))
+        ref = _ReferenceFaults(config, RandomStream(seed, "faults/downlink"))
+        with mock.patch.object(faults_module, "BLOCK", block):
+            for kind, size, n, layout, one_at_a_time in script:
+                message = msg(kind, size)
+                # Receiver keys repeat (a small pool); wired receivers are
+                # skipped, as the channel skips them.
+                rng = random.Random(layout)
+                receivers = [
+                    (rng.randrange(pool), rng.random() < 0.15) for _ in range(n)
+                ]
+                keys = [key for key, wired in receivers if not wired]
+                want = [ref.fate(message, key) for key in keys]
+                if one_at_a_time:
+                    got = [model.fate(message, key) for key in keys]
+                else:
+                    got = model.judge(message, keys)
+                assert got == want
+        assert model._bad == ref.bad
+        assert_same_stats(model.stats, ref.stats)
+
+    @pytest.mark.parametrize("seed", [1, 7, 2026])
+    def test_block_boundaries_are_invisible(self, seed):
+        a, b = 333, 1_024
+        blocks = RandomStream(seed, "faults/downlink")
+        scalars = RandomStream(seed, "faults/downlink")
+        bools = RandomStream(seed, "faults/downlink")
+        drawn = blocks.uniforms(a) + blocks.uniforms(b)
+        assert drawn == [scalars._gen.random() for _ in range(a + b)]
+        assert [u < 0.3 for u in drawn] == [bools.bernoulli(0.3) for _ in drawn]
+
+    def test_a_delivery_with_no_judged_receiver_draws_nothing(self):
+        cfg = FaultConfig(drop_prob=0.5, bit_error_rate=1e-3, ge_good_to_bad=0.2)
+        model = FaultModel(cfg, _ExplodingStream())
+        assert model.judge(msg(), []) == []
+        assert model.stats.judged == 0
+        env = Environment()
+        ch = Channel(env, 100, faults=model)
+        wired, dozing = [], []
+
+        def radio(m, now):
+            dozing.append(m)
+
+        ch.attach(lambda m, now: wired.append(m), wired=True)
+        ch.attach(radio)
+        ch.set_listening(radio, False)
+        env.run(until=ch.send(msg(size=100)))
+        assert len(wired) == 1 and dozing == []
+        assert model.stats.judged == 0
+
+
+class TestChannelDispatchMatchesTheReference:
+    @pytest.mark.parametrize("seed", [1, 7, 2026])
+    def test_each_receiver_gets_its_reference_fate(self, seed):
+        """A lossy channel hands each receiver, in attach order, what the
+        one-draw-per-decision judge says about it."""
+        cfg = FaultConfig(
+            drop_prob=0.2,
+            drop_prob_by_kind={MessageKind.DATA_ITEM: 0.4},
+            bit_error_rate=2e-4,
+            ge_good_to_bad=0.1,
+            ge_bad_to_good=0.3,
+        )
+        env = Environment()
+        ch = Channel(env, 1e6, faults=FaultModel(cfg, RandomStream(seed, "f")))
+        ref = _ReferenceFaults(cfg, RandomStream(seed, "f"))
+        got = {}
+        # Key 0 is a wired tap; radios 1..6 answer to dest ids 101..106.
+        wiring = [(0, True, None)] + [(k, False, 100 + k) for k in range(1, 7)]
+        callbacks = {}
+        for key, wired, dest in wiring:
+            got[key] = []
+
+            def cb(m, now, key=key):
+                got[key].append((m.payload, m.corrupted))
+
+            callbacks[key] = cb
+            ch.attach(cb, wired=wired, dest=dest)
+        want = {key: [] for key, _, _ in wiring}
+        rng = random.Random(seed)
+        for n in range(300):
+            dozing = {k for k in range(1, 7) if rng.random() < 0.3}
+            for k in range(1, 7):
+                ch.set_listening(callbacks[k], k not in dozing)
+            dest = BROADCAST if rng.random() < 0.7 else 100 + rng.randrange(1, 7)
+            message = Message(
+                kind=rng.choice(list(MessageKind)),
+                size_bits=rng.choice([64, 800, 65_536]),
+                src=SERVER_ID,
+                dest=dest,
+                payload=n,
+            )
+            for key, wired, rec_dest in wiring:
+                addressed = dest == BROADCAST or rec_dest in (None, dest)
+                if key in dozing or not addressed:
+                    continue
+                fate = Fate.DELIVER if wired else ref.fate(message, key)
+                if fate is not Fate.DROP:
+                    want[key].append((n, fate is Fate.CORRUPT))
+            env.run(until=ch.send(message))
+        assert got == want
+        assert_same_stats(ch.faults.stats, ref.stats)

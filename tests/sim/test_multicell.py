@@ -117,6 +117,57 @@ class TestEveryCellInOneModel:
         assert result.goodput_ratio == pytest.approx(intact / judged)
 
 
+class TestOverlappingGatewayOutages:
+    """A cell-0 outage and a server outage both hold the gateway down."""
+
+    @staticmethod
+    def _run(chaos):
+        params = N3.with_(n_clients=24, seed=1, chaos=chaos)
+        model = SimulationModel(params, UNIFORM, "aaw")
+        seen = {}
+
+        def probe():
+            for t in (150.0, 230.0, 300.0, 390.0, 410.0):
+                yield model.env.sleep(t - model.env.now)
+                seen[t] = (model.server.crashed, model.server.epoch)
+
+        model.env.process(probe(), name="probe")
+        return model.run(), seen
+
+    @pytest.mark.parametrize(
+        "chaos",
+        [
+            # Cell 0 down 100-400 s around a server outage 200-260 s.
+            ChaosConfig(
+                cell_crashes_at=((0, 100.0),), cell_downtime=300.0,
+                server_crashes_at=(200.0,), server_downtime=60.0,
+            ),
+            # The server down 100-400 s around a cell-0 outage 200-260 s.
+            ChaosConfig(
+                server_crashes_at=(100.0,), server_downtime=300.0,
+                cell_crashes_at=((0, 200.0),), cell_downtime=60.0,
+            ),
+        ],
+        ids=["cell-outage-outer", "server-outage-outer"],
+    )
+    def test_gateway_comes_back_once_when_the_later_outage_ends(self, chaos):
+        result, seen = self._run(chaos)
+        assert seen == {
+            150.0: (True, 0),
+            230.0: (True, 0),
+            300.0: (True, 0),
+            390.0: (True, 0),
+            410.0: (False, 1),
+        }
+        # Each walker counts its own crash and its own outage end.
+        for name in ("cell_crashes", "cell_restarts",
+                     "server_crashes", "server_restarts"):
+            assert result.counter(f"chaos.{name}") == 1, name
+        # The cell-0 crash evacuates even while the server outage holds
+        # the gateway down.
+        assert result.counter("roam.evacuations") > 0
+
+
 class TestKnobValidation:
     """Inconsistent knob combinations fail fast with a clear story."""
 
