@@ -204,6 +204,12 @@ class Channel:
                 del self._by_dest[rec.dest]
         self._listening = None
 
+    @property
+    def stations(self) -> int:
+        """How many destinations have a receiver attached, dozing or not
+        (a cell's associated clients, on that cell's channels)."""
+        return len(self._by_dest)
+
     def set_listening(self, receiver: Receiver, listening: bool):
         """Gate delivery to *receiver* without detaching it.
 

@@ -181,14 +181,12 @@ class LossAdaptiveController:
         config: LossAdaptationConfig,
         window_intervals: int,
         broadcast_interval: float,
-        expected_listeners: int,
     ):
         if config.w_max < window_intervals:
             raise ValueError("w_max must be >= window_intervals")
         self.config = config
         self.window_intervals = window_intervals
         self.broadcast_interval = broadcast_interval
-        self.expected_listeners = expected_listeners
         self.estimator = LossEstimator(config.alpha, config.salvage_weight)
         self.w_eff = window_intervals
 
@@ -208,9 +206,13 @@ class LossAdaptiveController:
         """``w_eff * L``: the span the widened reports cover."""
         return self.w_eff * self.broadcast_interval
 
-    def tick(self) -> int:
-        """Advance one broadcast interval; returns the new ``w_eff``."""
-        est = self.estimator.end_interval(self.expected_listeners)
+    def tick(self, listeners: int) -> int:
+        """Advance one broadcast interval; returns the new ``w_eff``.
+
+        *listeners* is how many clients could have sent this interval's
+        evidence: the cell's associated clients at the tick.
+        """
+        est = self.estimator.end_interval(listeners)
         self.w_eff = effective_window_intervals(
             self.window_intervals,
             self.config.w_max,

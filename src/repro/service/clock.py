@@ -1,27 +1,30 @@
 """Injected time: wall clock vs. the DES-backed virtual clock.
 
 Everything in :mod:`repro.service` that waits — SWR timers, retry
-backoff, breaker reset windows, the IR watchdog — sleeps through a
-:class:`Clock`, never through ``asyncio.sleep`` directly.  Production
-uses :class:`WallClock` (the running loop's monotonic time);
-tests and benchmarks use :class:`VirtualClock`, which stores pending
-sleeps in a ``heapq`` of ``(when, eid, future)`` tuples — the same
-eid-tie-broken schedule the DES kernel keeps — and fires them when the
-driver calls :meth:`VirtualClock.advance`.  Unique eids make the heap
-order strict, so every virtual-time campaign is byte-reproducible.
+backoff, breaker reset windows, the IR watchdog, dependency deadlines —
+waits through a :class:`Clock`, never through ``asyncio.sleep`` or the
+loop's own timers directly.  Production uses :class:`WallClock` (the
+running loop's monotonic time and ``loop.call_later``); tests and
+benchmarks use :class:`VirtualClock`, which keeps pending sleeps and
+timer callbacks in one ``heapq`` of ``(when, eid, entry)`` tuples — the
+same eid-tie-broken schedule the DES kernel keeps — and fires them when
+the driver calls :meth:`VirtualClock.advance`.  Unique eids make the
+heap order strict, so every virtual-time campaign is byte-reproducible.
 
-:func:`with_deadline` is the service's single timeout primitive: it
-races an awaitable against ``clock.sleep(timeout)`` and converts a loss
-into :class:`~repro.service.errors.DeadlineExceeded`.  When both finish
-inside the same scheduling quantum the awaitable wins — a deterministic
-tie-break the virtual-time tests rely on.
+:func:`with_deadline` is the service's single timeout primitive: it runs
+an awaitable as a task and arms a clock timer (:meth:`Clock.call_later`)
+that cancels that task when the budget runs out; only that cancellation
+becomes :class:`~repro.service.errors.DeadlineExceeded`.  The timer is
+armed just after the task's first step, so when both are due at the same
+instant the awaitable's own sleeps hold the lower eids and its result
+wins — a deterministic tie-break the virtual-time tests rely on.
 """
 
 from __future__ import annotations
 
 import asyncio
 import heapq
-from typing import Any, Awaitable, List, Protocol, Tuple, TypeVar
+from typing import Any, Awaitable, Callable, List, Protocol, Tuple, TypeVar, Union
 
 from .errors import DeadlineExceeded
 
@@ -29,8 +32,30 @@ __all__ = ["Clock", "VirtualClock", "WallClock", "with_deadline"]
 
 T = TypeVar("T")
 
-#: One virtual-clock timer: ``(when, eid, wakeup future)``.
-_TimerEntry = Tuple[float, int, "asyncio.Future[None]"]
+
+class _Timer:
+    """A callback entry in :class:`VirtualClock`'s heap; cancel = tombstone."""
+
+    __slots__ = ("callback",)
+
+    def __init__(self, callback: Callable[[], None]) -> None:
+        self.callback: Callable[[], None] | None = callback
+
+    def cancel(self) -> None:
+        self.callback = None
+
+    def cancelled(self) -> bool:
+        return self.callback is None
+
+
+#: One virtual-clock entry: ``(when, eid, wakeup future or timer callback)``.
+_TimerEntry = Tuple[float, int, Union["asyncio.Future[None]", _Timer]]
+
+
+class Cancellable(Protocol):
+    """What :meth:`Clock.call_later` returns: a timer that can be disarmed."""
+
+    def cancel(self) -> None: ...
 
 
 class Clock(Protocol):
@@ -42,6 +67,10 @@ class Clock(Protocol):
 
     async def sleep(self, delay: float) -> None:
         """Suspend the calling task for *delay* seconds of this clock."""
+        ...
+
+    def call_later(self, delay: float, callback: Callable[[], None]) -> Cancellable:
+        """Run *callback* once, *delay* seconds of this clock from now."""
         ...
 
 
@@ -56,17 +85,23 @@ class WallClock:
     async def sleep(self, delay: float) -> None:
         await asyncio.sleep(delay)
 
+    def call_later(
+        self, delay: float, callback: Callable[[], None]
+    ) -> asyncio.TimerHandle:
+        return asyncio.get_running_loop().call_later(delay, callback)
+
 
 class VirtualClock:
     """Deterministic manual time for asyncio, backed by a DES-style heap.
 
-    Tasks call :meth:`sleep`; the driving test calls :meth:`advance` (or
-    :meth:`run_until`) to fire due timers in strict ``(when, eid)``
-    order, letting all woken tasks run to their next suspension point
-    between consecutive fires.  Only :meth:`sleep` waits on this clock —
-    a task blocked on real ``asyncio.sleep(dt > 0)`` would stall the
-    virtual timeline, so virtual-time code must route every wait through
-    the clock (``asyncio.sleep(0)`` yields are fine).
+    Tasks call :meth:`sleep` (or arm :meth:`call_later`); the driving
+    test calls :meth:`advance` (or :meth:`run_until`) to fire due entries
+    in strict ``(when, eid)`` order, letting all woken tasks run to their
+    next suspension point between consecutive fires.  Only this clock
+    waits in virtual time — a task blocked on real
+    ``asyncio.sleep(dt > 0)`` would stall the virtual timeline, so
+    virtual-time code must route every wait through the clock
+    (``asyncio.sleep(0)`` yields are fine).
     """
 
     __slots__ = ("_now", "_eid", "_heap")
@@ -81,7 +116,7 @@ class VirtualClock:
 
     @property
     def pending_timers(self) -> int:
-        """Number of scheduled (possibly cancelled) sleeps."""
+        """Number of scheduled (possibly cancelled) sleeps and timers."""
         return len(self._heap)
 
     async def sleep(self, delay: float) -> None:
@@ -97,11 +132,22 @@ class VirtualClock:
         heapq.heappush(self._heap, (self._now + delay, self._eid, fut))
         await fut
 
+    def call_later(self, delay: float, callback: Callable[[], None]) -> _Timer:
+        """Schedule *callback* at ``now + delay``; it runs inside the
+        :meth:`advance` that reaches it, like a sleep's wake-up, and
+        ``cancel()`` leaves a tombstone that never fires."""
+        if delay < 0:
+            raise ValueError("cannot schedule a negative delay")
+        timer = _Timer(callback)
+        self._eid += 1
+        heapq.heappush(self._heap, (self._now + delay, self._eid, timer))
+        return timer
+
     def _peek_when(self) -> float | None:
         return self._heap[0][0] if self._heap else None
 
     async def advance(self, dt: float) -> None:
-        """Move time forward by *dt*, firing due timers in heap order.
+        """Move time forward by *dt*, firing due entries in heap order.
 
         Between consecutive fires (and once more at the end) the loop is
         drained: every task made runnable gets to run until it suspends
@@ -116,13 +162,17 @@ class VirtualClock:
             when = self._peek_when()
             if when is None or when > target:
                 break
-            fired_when, _eid, fut = heapq.heappop(self._heap)
-            # A cancelled sleep (its waiter lost a with_deadline race or
-            # its task was torn down) is a tombstone: drop it unfired.
-            if fut.cancelled():
+            fired_when, _eid, entry = heapq.heappop(self._heap)
+            # A cancelled sleep (its task was torn down) or a disarmed
+            # timer (its deadline was met) is a tombstone: drop it unfired.
+            if entry.cancelled():
                 continue
             self._now = fired_when
-            fut.set_result(None)
+            if isinstance(entry, _Timer):
+                assert entry.callback is not None
+                entry.callback()
+            else:
+                entry.set_result(None)
             await _drain_loop()
         self._now = target
         await _drain_loop()
@@ -159,9 +209,10 @@ async def _drain_loop() -> None:
     """Yield until every currently-runnable task has suspended.
 
     Uses the loop's ready queue when available (CPython exposes it as
-    ``_ready``): after our own yield resumes, an empty queue means no
-    other callback is runnable.  Falls back to a fixed burst of yields
-    on loops that hide their queue.
+    ``_ready``): an empty queue means no other callback is runnable, so
+    an idle drain returns without a loop turn, and a busy one yields
+    until the queue empties.  Falls back to a fixed burst of yields on
+    loops that hide their queue.
     """
     loop = asyncio.get_running_loop()
     ready: Any = getattr(loop, "_ready", None)
@@ -169,10 +220,8 @@ async def _drain_loop() -> None:
         for _ in range(32):
             await asyncio.sleep(0)
         return
-    while True:
+    while ready:
         await asyncio.sleep(0)
-        if not len(ready):
-            return
 
 
 async def with_deadline(
@@ -180,37 +229,41 @@ async def with_deadline(
 ) -> T:
     """Await *awaitable*, but give up after *timeout* clock seconds.
 
-    On timeout the inner task is cancelled (and awaited, so its cleanup
-    runs) and :class:`DeadlineExceeded` raises.  When both the awaitable
-    and the timer complete in the same scheduling quantum the awaitable's
-    result wins — a deterministic preference, not a race.
+    The awaitable runs as a task, and a :meth:`Clock.call_later` timer
+    cancels that task when the budget runs out; the caller awaits the
+    task itself, so the task's cleanup has run when
+    :class:`DeadlineExceeded` raises.  A task that swallows the cancel
+    still ends in :class:`DeadlineExceeded`.  The caller's own
+    cancellation propagates as ``CancelledError`` (and cancels the task
+    and disarms the timer).  The timer is armed just after the task's
+    first step, so when the awaitable finishes at the deadline instant
+    its result wins — a deterministic preference, not a race.
     """
     if timeout is None:
         return await awaitable
-    loop = asyncio.get_running_loop()
     task = asyncio.ensure_future(awaitable)
-    timer = asyncio.ensure_future(clock.sleep(timeout))
-    gate: asyncio.Future[None] = loop.create_future()
+    expired = False
+    timer: Cancellable | None = None
 
-    def _wake(_done: "asyncio.Future[Any]") -> None:
-        if not gate.done():
-            gate.set_result(None)
+    def _expire() -> None:
+        nonlocal expired
+        expired = task.cancel()
 
-    task.add_done_callback(_wake)
-    timer.add_done_callback(_wake)
+    def _arm() -> None:
+        nonlocal timer
+        timer = clock.call_later(timeout, _expire)
+
+    # FIFO ready queue: this runs right after the task's first step.
+    arming = asyncio.get_running_loop().call_soon(_arm)
     try:
-        await gate
+        value = await task
     except asyncio.CancelledError:
-        # The caller itself was cancelled: tear both racers down.
-        task.cancel()
-        timer.cancel()
-        raise
-    if task.done():
-        timer.cancel()
-        return task.result()
-    task.cancel()
-    try:
-        await task
-    except asyncio.CancelledError:
-        pass
-    raise DeadlineExceeded(f"dependency call exceeded {timeout}s budget")
+        if not expired:
+            raise
+    finally:
+        arming.cancel()
+        if timer is not None:
+            timer.cancel()
+    if expired:
+        raise DeadlineExceeded(f"dependency call exceeded {timeout}s budget")
+    return value

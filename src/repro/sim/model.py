@@ -556,17 +556,22 @@ class SimulationModel:
         ledger = account_liveness(result, self.params.n_clients)
         raw["oracle.queries_pending"] = float(ledger.pending)
         raw["oracle.liveness_ok"] = 1.0 if ledger.ok else 0.0
-        # Bounded salvage-state telemetry (adaptive schemes only).  Read
-        # through the server: a chaos restart swaps the policy instance.
-        buffer = getattr(self.server.policy, "tlb_buffer", None)
-        if buffer is not None:
-            raw["server.tlb_duplicates"] = float(buffer.duplicates)
-            raw["server.tlb_overflow"] = float(buffer.overflows)
-        # Loss-adaptive control-loop telemetry (knob group on only).
-        controller = self.server.loss_controller
-        if controller is not None:
-            raw[m.EST_LOSS] = controller.estimate
-            raw["server.w_eff_last"] = float(controller.w_eff)
+        # Per-cell server telemetry, named like the channels: cell 0
+        # keeps ``server.*`` and cell i reports ``server-i.*``.  Bounded
+        # salvage state exists for adaptive schemes only, the control
+        # loop with the loss-adaptive knob group only.  Read through the
+        # server: a chaos restart swaps the policy and the controller.
+        for cell in self.cells:
+            server = cell.server
+            prefix = f"server-{cell.cell_id}" if cell.cell_id else "server"
+            buffer = getattr(server.policy, "tlb_buffer", None)
+            if buffer is not None:
+                raw[f"{prefix}.tlb_duplicates"] = float(buffer.duplicates)
+                raw[f"{prefix}.tlb_overflow"] = float(buffer.overflows)
+            controller = server.loss_controller
+            if controller is not None:
+                raw[f"{prefix}.est_loss"] = controller.estimate
+                raw[f"{prefix}.w_eff_last"] = float(controller.w_eff)
         # Population-pool telemetry (aggregation knob group on only, so
         # exact runs keep a key-identical snapshot).
         pool = self.population

@@ -72,7 +72,6 @@ class Server:
                 params.loss_adaptation,
                 window_intervals=params.window_intervals,
                 broadcast_interval=params.broadcast_interval,
-                expected_listeners=params.n_clients,
             )
             if params.loss_adaptation is not None
             else None
@@ -144,7 +143,10 @@ class Server:
             if self.loss_controller is not None:
                 # Fold last interval's loss evidence into the estimate and
                 # advertise the (possibly widened) window to the policy.
-                w_eff = self.loss_controller.tick()
+                # Only the clients associated with this cell (dozing ones
+                # included; pooled members have no radio) can NACK or
+                # salvage here, so they are the evidence's denominator.
+                w_eff = self.loss_controller.tick(self.ir_channel.stations)
                 self.effective_window_seconds = (
                     self.loss_controller.effective_window_seconds
                 )
@@ -245,7 +247,6 @@ class Server:
                 self.params.loss_adaptation,
                 window_intervals=self.params.window_intervals,
                 broadcast_interval=self.params.broadcast_interval,
-                expected_listeners=self.params.n_clients,
             )
         self.effective_window_seconds = None
         self._publish_cursor = 0

@@ -137,13 +137,12 @@ class TestControllerEndToEnd:
             LossAdaptationConfig(w_max=w + slack),
             window_intervals=w,
             broadcast_interval=20.0,
-            expected_listeners=50,
         )
-        for gaps, salvage, _expected in intervals:
+        for gaps, salvage, listeners in intervals:
             controller.observe_nack(gaps) if gaps else None
             for _ in range(salvage):
                 controller.observe_salvage()
-            w_eff = controller.tick()
+            w_eff = controller.tick(listeners)
             assert w <= w_eff <= w + slack
             assert 0.0 <= controller.estimate <= 1.0
 
@@ -152,10 +151,9 @@ class TestControllerEndToEnd:
             LossAdaptationConfig(w_max=40),
             window_intervals=10,
             broadcast_interval=20.0,
-            expected_listeners=50,
         )
         for _ in range(100):
-            assert controller.tick() == 10
+            assert controller.tick(50) == 10
         assert controller.estimate == 0.0
 
 
@@ -207,7 +205,6 @@ class TestValidation:
                 LossAdaptationConfig(w_max=5),
                 window_intervals=10,
                 broadcast_interval=20.0,
-                expected_listeners=10,
             )
 
 

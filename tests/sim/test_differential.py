@@ -217,7 +217,6 @@ class ScriptedWorld:
                 config or LossAdaptationConfig(w_max=W_MAX),
                 window_intervals=W,
                 broadcast_interval=INTERVAL,
-                expected_listeners=1,
             )
             if adaptive
             else None
@@ -233,7 +232,7 @@ class ScriptedWorld:
     def run_interval(self, index, now, status):
         """Advance one broadcast period; return the servable item set."""
         if self.controller is not None:
-            self.controller.tick()
+            self.controller.tick(1)
             span = self.controller.effective_window_seconds
             assert W * INTERVAL <= span <= W_MAX * INTERVAL
             server_ctx = SimpleNamespace(effective_window_seconds=span)

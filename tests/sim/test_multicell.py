@@ -9,7 +9,9 @@ Three guarantees are pinned here:
    (no multi-cell telemetry leaks in).
 2. **One model for N>1** — :class:`SimulationModel` itself builds every
    cell of a larger topology, runs its roaming and cell-outage chaos,
-   and reports every cell's channels under their own names.
+   and reports every cell's channels and server under their own names;
+   each cell's loss-adaptive loop weighs its evidence against its own
+   clients.
 3. **Knob validation** — inconsistent combinations (roaming without the
    retry layer, publishing in a fed cell, cell-outage chaos without a
    topology) die with a clear error before a simulation is built.
@@ -19,7 +21,8 @@ import pytest
 
 from repro.chaos import ChaosConfig
 from repro.net import FaultConfig
-from repro.sim import UNIFORM, SimulationModel, run_simulation
+from repro.schemes import LossAdaptationConfig
+from repro.sim import UNIFORM, AggregationConfig, SimulationModel, run_simulation
 from repro.sim.params import SystemParams
 from repro.topology import PROPAGATION_MODES, RoamingConfig, TopologyConfig
 
@@ -115,6 +118,88 @@ class TestEveryCellInOneModel:
             for c in channels
         )
         assert result.goodput_ratio == pytest.approx(intact / judged)
+
+
+#: 40 clients behind a downlink that drops one delivery in five, with the
+#: NACK-driven loss-adaptive window on.
+LOSSY = SystemParams(
+    simulation_time=4000.0,
+    n_clients=40,
+    seed=1,
+    downlink_faults=FaultConfig(drop_prob=0.2),
+    loss_adaptation=LossAdaptationConfig(nack=True),
+    uplink_timeout=60.0,
+)
+
+
+def on_path(params, n_cells, roam_prob=0.0):
+    return params.with_(
+        roaming=RoamingConfig(
+            topology=TopologyConfig(kind="path", n_cells=n_cells),
+            roam_prob=roam_prob,
+        )
+    )
+
+
+def spy_on_ticks(model):
+    """Record, per controller tick, the listener count the server passed
+    and the clients associated with that cell at that instant."""
+    seen = []
+    for cell in model.cells:
+        controller = cell.server.loss_controller
+        tick = controller.tick
+
+        def spy(listeners, cell_id=cell.cell_id, tick=tick):
+            homed = [c for c in model.clients if c.cell_id == cell_id]
+            seen.append((model.env.now, cell_id, listeners, len(homed)))
+            return tick(listeners)
+
+        controller.tick = spy
+    return seen
+
+
+class TestPerCellLossEvidence:
+    """A cell's loss estimate divides by the clients associated with it."""
+
+    def test_each_cell_divides_by_its_own_clients(self):
+        model = SimulationModel(on_path(LOSSY, 4, roam_prob=0.5), UNIFORM, "aaw")
+        seen = spy_on_ticks(model)
+        result = model.run()
+        assert result.counter("roam.handoffs") > 0
+        assert seen and all(listeners == homed for _, _, listeners, homed in seen)
+        # The cells partition the population, dozers included.
+        per_instant = {}
+        for now, _, listeners, _ in seen:
+            per_instant[now] = per_instant.get(now, 0) + listeners
+        assert set(per_instant.values()) == {LOSSY.n_clients}
+
+    def test_pooled_members_are_not_listeners(self):
+        params = LOSSY.with_(
+            n_clients=60,
+            disconnect_prob=0.3,
+            disconnect_time_mean=2000.0,
+            aggregation=AggregationConfig(k_exact=8),
+        )
+        model = SimulationModel(params, UNIFORM, "aaw")
+        seen = spy_on_ticks(model)
+        model.run()
+        assert all(listeners == homed for _, _, listeners, homed in seen)
+        assert min(listeners for _, _, listeners, _ in seen) < params.n_clients
+
+    def test_cells_widen_like_one_cell_at_the_same_loss(self):
+        """At the same per-delivery loss, four cells' windows track one
+        cell's: dividing by the whole population would read about a
+        quarter of the loss in each cell and barely widen."""
+        one = run_simulation(on_path(LOSSY, 1), UNIFORM, "aaw")
+        four = run_simulation(on_path(LOSSY, 4), UNIFORM, "aaw")
+        assert one.mean_effective_window > LOSSY.window_intervals
+        assert four.mean_effective_window > 0.8 * one.mean_effective_window
+        raw = four.raw
+        for prefix in ("server", "server-1", "server-2", "server-3"):
+            assert 0.0 <= raw[f"{prefix}.est_loss"] <= 1.0
+            assert raw[f"{prefix}.w_eff_last"] >= LOSSY.window_intervals
+            assert f"{prefix}.tlb_duplicates" in raw
+            assert f"{prefix}.tlb_overflow" in raw
 
 
 class TestOverlappingGatewayOutages:
