@@ -17,7 +17,8 @@ import pytest
 
 from repro.experiments import (
     format_figure,
-    run_figure_parallel,
+    get_figure,
+    run_figure,
     scale_from_env,
 )
 
@@ -36,8 +37,8 @@ def regen(benchmark, capsys):
         scale = scale_from_env()
         workers = workers_from_env()
         result = benchmark.pedantic(
-            lambda: run_figure_parallel(
-                figure_id, scale=scale, workers=workers, **kwargs
+            lambda: run_figure(
+                get_figure(figure_id), scale=scale, workers=workers, **kwargs
             ),
             rounds=1,
             iterations=1,

@@ -8,14 +8,12 @@ table rendering here means the two benches cannot drift apart in how
 they run or report the same experiment.
 
 Cells are independent deterministic simulations, so — like the figure
-sweeps in :mod:`repro.experiments.parallel` — they fan out over a
-process pool by default (``workers="auto"``); results are identical at
-any worker count.
+sweeps — they fan out through :func:`repro.experiments.parallel.map_cells`
+over a process pool by default (``workers="auto"``); results are
+identical at any worker count.
 """
 
-from concurrent.futures import ProcessPoolExecutor
-
-from repro.experiments.parallel import resolve_workers, sweep_chunksize
+from repro.experiments.parallel import map_cells
 from repro.sim import run_simulation
 
 
@@ -38,19 +36,7 @@ def run_loss_sweep(drop_rates, variants, configure, workload, workers="auto"):
         for variant in variants:
             params, scheme = configure(drop, variant)
             cells.append(((drop, variant), params, scheme, workload))
-    n_workers = resolve_workers(workers)
-    if n_workers == 1:
-        results = map(_run_cell, cells)
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(
-                pool.map(
-                    _run_cell,
-                    cells,
-                    chunksize=sweep_chunksize(len(cells), n_workers),
-                )
-            )
-    return dict(results)
+    return dict(map_cells(_run_cell, cells, workers))
 
 
 def format_sweep_table(

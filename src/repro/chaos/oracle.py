@@ -1,6 +1,6 @@
-"""The hard safety oracle: strict staleness and liveness accounting.
+"""The hard safety oracle: strict staleness, liveness and bit accounting.
 
-Two guarantees, promoted from telemetry to enforcement:
+Three guarantees, promoted from telemetry to enforcement:
 
 * **Safety** — under ``SystemParams.strict_staleness`` any stale cache
   hit (an answer the client's own certification history cannot justify)
@@ -15,6 +15,8 @@ Two guarantees, promoted from telemetry to enforcement:
   (``client.fetch_failures``), or still pending at the horizon — and at
   most one query per client can be pending.  A query that silently
   vanished (a hung waiter, a lost wakeup) breaks the balance.
+* **Bit accounting** — :func:`balance_ledger` audits every channel of a
+  finished run: a bit counted twice or never breaks the balance.
 
 This module is import-light (no :mod:`repro.sim` imports) so the client
 actor can raise :class:`StalenessViolation` without a cycle.
@@ -22,8 +24,9 @@ actor can raise :class:`StalenessViolation` without a cycle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class StalenessViolation(AssertionError):
@@ -120,6 +123,28 @@ def account_liveness(result, n_clients: int) -> LivenessReport:
         ok=ok,
         reason=reason,
     )
+
+
+class LedgerViolation(AssertionError):
+    """A channel's bit ledger does not balance at the end of a run."""
+
+
+def balance_ledger(channels: Iterable) -> None:
+    """Per channel and message kind, require bits sent = bits delivered
+    + bits of the messages the channel still holds (queued, preempted or
+    on the air).  Exact for whole-bit sizes, as the model's are; the
+    tolerance absorbs float rounding of fractional ones.
+    """
+    for channel in channels:
+        sent, delivered = channel.stats.sent_bits, channel.stats.delivered_bits
+        held = channel.undelivered_bits()
+        for kind in {**sent, **delivered, **held}:
+            s, d, u = sent.get(kind, 0.0), delivered.get(kind, 0.0), held.get(kind, 0.0)
+            if not math.isclose(s, d + u, rel_tol=1e-9):
+                raise LedgerViolation(
+                    f"channel {channel.name}, {kind}: sent {s!r} bits != "
+                    f"delivered {d!r} + undelivered {u!r}"
+                )
 
 
 def oracle_verdict(result, n_clients: Optional[int] = None) -> str:

@@ -17,7 +17,6 @@ from .io import (
     load_figure_result,
     save_figure_result,
 )
-from .parallel import run_figure_parallel
 from .plot import ascii_chart, chart_figure
 from .sweep import FigureResult, run_figure
 from .tables import DISPLAY_NAMES, format_figure, format_legend
@@ -42,6 +41,5 @@ __all__ = [
     "format_legend",
     "get_figure",
     "run_figure",
-    "run_figure_parallel",
     "scale_from_env",
 ]

@@ -14,7 +14,7 @@ import sys
 import time
 
 from .figures import BENCH_SCALE, FULL_SCALE, figure_ids, get_figure
-from .parallel import run_figure_parallel
+from .sweep import run_figure
 from .tables import format_figure, format_legend
 
 
@@ -102,8 +102,8 @@ def main(argv=None) -> int:
         # experiments layer is exempt from DET001 by path, not because
         # wall-clock reads are harmless in elapsed-time math.)
         started = time.perf_counter()
-        result = run_figure_parallel(
-            fid, scale=scale, seed=args.seed, workers=args.workers
+        result = run_figure(
+            get_figure(fid), scale=scale, seed=args.seed, workers=args.workers
         )
         print()
         print(format_figure(result))

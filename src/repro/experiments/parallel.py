@@ -1,27 +1,22 @@
-"""Process-parallel execution of figure sweeps.
+"""Process-parallel execution of sweep cells.
 
-Every (scheme, sweep-point) cell is an independent, deterministic
-simulation — embarrassingly parallel.  This module fans the cells of a
-figure out over a process pool; results are bit-identical to the serial
-path because all randomness derives from named, seed-addressed streams
-(`repro.des.rng`), never from process state.
+Every cell of a sweep (a figure's scheme x sweep point, an ablation's
+loss rate x variant) is an independent, deterministic simulation —
+embarrassingly parallel.  :func:`map_cells` runs the cells inline for
+one worker and over a process pool otherwise; results are identical at
+any worker count because all randomness derives from named,
+seed-addressed streams (`repro.des.rng`), never from process state.
 
-``workers="auto"`` (the default everywhere: the CLI, the figure benches)
-sizes the pool from ``os.cpu_count()``; on a single-core box it degrades
-to the inline serial path, so callers never pay pool start-up for
-nothing.
+``workers="auto"`` (the default of the CLI and the benches) sizes the
+pool from ``os.cpu_count()``; on a single-core box it degrades to the
+inline path, so callers never pay pool start-up for nothing.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple, Union
-
-from ..sim.metrics import SimulationResult
-from ..sim.runner import run_simulation
-from .figures import Scale, get_figure
-from .sweep import FigureResult
+from typing import Callable, Sequence, Union
 
 Workers = Union[int, str]
 
@@ -53,64 +48,17 @@ def sweep_chunksize(n_cells: int, workers: int) -> int:
     return max(1, n_cells // (workers * 4))
 
 
-def _run_cell(
-    args: Tuple[str, str, float, str, float, int, int]
-) -> Tuple[str, float, SimulationResult]:
-    """Worker entry point (module-level so it pickles)."""
-    figure_id, scheme, x, scale_name, sim_time, n_clients, seed = args
-    spec = get_figure(figure_id)
-    scale = Scale(name=scale_name, simulation_time=sim_time, n_clients=n_clients)
-    params = spec.params_for(x, scale, seed=seed)
-    result = run_simulation(params, spec.workload, scheme)
-    return scheme, x, result
+def map_cells(run_cell: Callable, cells: Sequence, workers: Workers = 1) -> list:
+    """``run_cell`` applied to every cell, in order, on *workers* processes.
 
-
-def run_figure_parallel(
-    figure_id: str,
-    scale: Scale,
-    seed: int = 0,
-    points: Optional[Sequence[float]] = None,
-    schemes: Optional[Sequence[str]] = None,
-    workers: Workers = "auto",
-) -> FigureResult:
-    """Regenerate one figure with cells fanned over *workers* processes.
-
-    Returns the same :class:`FigureResult` as
-    :func:`repro.experiments.sweep.run_figure` with identical numbers
-    (deterministic per cell); only wall-clock differs.
+    *run_cell* must be a module-level function so it pickles.
     """
     n_workers = resolve_workers(workers)
-    spec = get_figure(figure_id)
-    xs = list(points if points is not None else spec.sweep_values)
-    scheme_names = list(schemes if schemes is not None else spec.schemes)
-    cells = [
-        (figure_id, scheme, x, scale.name, scale.simulation_time,
-         scale.n_clients, seed)
-        for scheme in scheme_names
-        for x in xs
-    ]
-    out = FigureResult(spec=spec, scale=scale, xs=xs)
-    collected: dict = {}
     if n_workers == 1:
-        results = list(map(_run_cell, cells))
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(
-                pool.map(
-                    _run_cell,
-                    cells,
-                    chunksize=sweep_chunksize(len(cells), n_workers),
-                )
+        return list(map(run_cell, cells))
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        return list(
+            pool.map(
+                run_cell, cells, chunksize=sweep_chunksize(len(cells), n_workers)
             )
-    for scheme, x, result in results:
-        collected[(scheme, x)] = result
-    for scheme in scheme_names:
-        series: List[float] = []
-        per_scheme: List[SimulationResult] = []
-        for x in xs:
-            result = collected[(scheme, x)]
-            per_scheme.append(result)
-            series.append(float(getattr(result, spec.metric)))
-        out.series[scheme] = series
-        out.results[scheme] = per_scheme
-    return out
+        )

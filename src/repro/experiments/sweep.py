@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.metrics import SimulationResult
 from ..sim.runner import run_simulation
-from .figures import BENCH_SCALE, FigureSpec, Scale
+from .figures import BENCH_SCALE, FigureSpec, Scale, get_figure
+from .parallel import Workers, map_cells
 
 
 @dataclass
@@ -52,29 +53,37 @@ class FigureResult:
         return worst
 
 
+def _run_cell(cell: Tuple[str, str, float, Scale, int]) -> SimulationResult:
+    """Run one (scheme, x) cell; module-level so it pickles."""
+    figure_id, scheme, x, scale, seed = cell
+    spec = get_figure(figure_id)
+    return run_simulation(spec.params_for(x, scale, seed=seed), spec.workload, scheme)
+
+
 def run_figure(
     spec: FigureSpec,
     scale: Scale = BENCH_SCALE,
     seed: int = 0,
     points: Optional[Sequence[float]] = None,
     schemes: Optional[Sequence[str]] = None,
+    workers: Workers = 1,
 ) -> FigureResult:
     """Regenerate one figure: run every (scheme, x) cell.
 
     *points*/*schemes* restrict the sweep (useful for smoke tests); the
-    defaults use the spec's full definition.
+    defaults use the spec's full definition.  Cells run on *workers*
+    processes (:func:`~repro.experiments.parallel.map_cells`), which
+    rebuild the spec from ``spec.figure_id``.
     """
     xs = list(points if points is not None else spec.sweep_values)
     scheme_names = list(schemes if schemes is not None else spec.schemes)
+    cells = [
+        (spec.figure_id, scheme, x, scale, seed) for scheme in scheme_names for x in xs
+    ]
+    results = iter(map_cells(_run_cell, cells, workers))
     out = FigureResult(spec=spec, scale=scale, xs=xs)
     for scheme in scheme_names:
-        values: List[float] = []
-        results: List[SimulationResult] = []
-        for x in xs:
-            params = spec.params_for(x, scale, seed=seed)
-            result = run_simulation(params, spec.workload, scheme)
-            results.append(result)
-            values.append(float(getattr(result, spec.metric)))
-        out.series[scheme] = values
-        out.results[scheme] = results
+        per_scheme = [next(results) for _ in xs]
+        out.series[scheme] = [float(getattr(r, spec.metric)) for r in per_scheme]
+        out.results[scheme] = per_scheme
     return out

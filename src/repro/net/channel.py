@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..des import Environment, Event, Interrupt, PriorityItem, PriorityStore
 from ..des.monitor import TimeWeighted
 from .faults import Fate, FaultModel
-from .messages import BROADCAST, Message, PRIORITY_IR
+from .messages import BROADCAST, Message, MessageKind, PRIORITY_IR
 
 Receiver = Callable[[Message, float], None]
 
@@ -52,24 +52,31 @@ class _Receiver:
 
 
 class ChannelStats:
-    """Byte-counting telemetry for one channel."""
+    """Per-kind bit ledger and airtime telemetry for one channel.
+
+    A message's bits count once in ``sent_bits`` when the channel accepts
+    it and once in ``delivered_bits`` when its transmission completes.
+    """
 
     __slots__ = (
-        "bits_enqueued",
-        "bits_delivered",
+        "sent_bits",
+        "delivered_bits",
         "messages_delivered",
-        "bits_by_kind",
         "busy",
         "preemptions",
     )
 
     def __init__(self, now: float = 0.0):
-        self.bits_enqueued = 0.0
-        self.bits_delivered = 0.0
+        self.sent_bits: Dict[MessageKind, float] = {}
+        self.delivered_bits: Dict[MessageKind, float] = {}
         self.messages_delivered = 0
-        self.bits_by_kind: dict = {}
         self.busy = TimeWeighted(now, name="busy")
         self.preemptions = 0
+
+    @property
+    def bits_delivered(self) -> float:
+        """Bits delivered over every kind."""
+        return sum(self.delivered_bits.values(), 0.0)
 
     def utilization(self, now: float) -> float:
         """Fraction of time the channel spent transmitting."""
@@ -114,7 +121,7 @@ class Channel:
         "_next_receiver_key",
         "_seq",
         "_current",
-        "_done_events",
+        "_in_flight",
         "_proc",
     )
 
@@ -146,7 +153,9 @@ class Channel:
         self._next_receiver_key = 0
         self._seq = 0
         self._current: Optional[PriorityItem] = None
-        self._done_events: dict = {}
+        #: id(message) -> (message, delivery event) for every message
+        #: accepted and not yet delivered (queued, preempted or on the air).
+        self._in_flight: Dict[int, Tuple[Message, Event]] = {}
         self._proc = env.process(self._transmit(), name=f"{name}-tx")
 
     def __repr__(self):
@@ -236,13 +245,15 @@ class Channel:
         still in flight is an error: it would corrupt the channel's
         bookkeeping (send a fresh :class:`Message` per transmission).
         """
-        if id(message) in self._done_events:
+        in_flight = self._in_flight
+        if id(message) in in_flight:
             raise ValueError(f"{message!r} is already in flight on {self.name}")
-        message.enqueued_at = self.env.now
         message.remaining_bits = float(message.size_bits)
-        self.stats.bits_enqueued += message.size_bits
+        sent = self.stats.sent_bits
+        kind = message.kind
+        sent[kind] = sent.get(kind, 0.0) + message.size_bits
         done = self.env.event()
-        self._done_events[id(message)] = done
+        in_flight[id(message)] = (message, done)
         self._seq += 1
         item = PriorityItem(priority=message.priority, seq=self._seq, item=message)
         self._queue.put_nowait(item)
@@ -259,19 +270,13 @@ class Channel:
             self._proc.interrupt("preempted")
         return done
 
-    @property
-    def transmitting(self) -> Optional[Message]:
-        """The message currently on the air, if any."""
-        return self._current.item if self._current is not None else None
-
-    @property
-    def queued(self) -> int:
-        """Number of messages waiting (not counting the one on the air)."""
-        return len(self._queue)
-
-    def transmission_time(self, size_bits: float) -> float:
-        """Seconds needed to transmit *size_bits* uncontended."""
-        return size_bits / self.bandwidth_bps
+    def undelivered_bits(self) -> Dict[MessageKind, float]:
+        """Bits per kind of the messages accepted and not yet delivered:
+        queued, preempted mid-transmission or on the air."""
+        out: Dict[MessageKind, float] = {}
+        for message, _done in self._in_flight.values():
+            out[message.kind] = out.get(message.kind, 0.0) + message.size_bits
+        return out
 
     # -- internals -------------------------------------------------------------
 
@@ -339,12 +344,12 @@ class Channel:
 
     def _deliver(self, message: Message):
         now = self.env.now
-        message.delivered_at = now
-        self.stats.bits_delivered += message.size_bits
-        self.stats.messages_delivered += 1
-        kind_bits = self.stats.bits_by_kind
-        kind_bits[message.kind] = kind_bits.get(message.kind, 0.0) + message.size_bits
-        done = self._done_events.pop(id(message), None)
+        stats = self.stats
+        delivered = stats.delivered_bits
+        kind = message.kind
+        delivered[kind] = delivered.get(kind, 0.0) + message.size_bits
+        stats.messages_delivered += 1
+        _message, done = self._in_flight.pop(id(message))
         faults = self.faults
         if faults is not None and faults.is_null:
             faults = None
@@ -387,9 +392,7 @@ class Channel:
                     if fate is _CORRUPT:
                         if corrupted_copy is None:
                             corrupted_copy = replace(message, corrupted=True)
-                            corrupted_copy.delivered_at = now
                         rec.callback(corrupted_copy, now)
                         continue
                 rec.callback(message, now)
-        if done is not None:
-            self._complete(done, message)
+        self._complete(done, message)

@@ -67,10 +67,6 @@ class Message:
     src: int
     dest: int
     payload: Any = None
-    #: Simulation time the message was enqueued (set by the channel).
-    enqueued_at: Optional[float] = None
-    #: Simulation time the transmission finished (set by the channel).
-    delivered_at: Optional[float] = None
     #: True on the copy a receiver gets when the frame arrived damaged
     #: (fault injection); the payload is then undecodable and must be
     #: ignored.  Always False on the sender's original.
@@ -93,11 +89,6 @@ class Message:
     def priority(self) -> int:
         """Priority class of this message (lower served first)."""
         return KIND_PRIORITY[self.kind]
-
-    @property
-    def is_broadcast(self) -> bool:
-        """True when addressed to every listener."""
-        return self.dest == BROADCAST
 
 
 #: Conventional id for the (single) server in a cell.

@@ -150,7 +150,12 @@ class CacheNode:
         self._last_report_at: Optional[float] = None
         self._validation_watchdog_armed = False
         self._started = False
-        self.served_stale = 0
+
+    @property
+    def served_stale(self) -> int:
+        """Answers served flagged stale: SWR-stale plus degraded serves."""
+        metrics = self.metrics
+        return metrics.get("swr.stale_serves") + metrics.get("get.degraded_serves")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -459,7 +464,6 @@ class CacheNode:
         if swr is not None and not entry.is_fresh(now):
             # SWR-stale: serve flagged, refresh in the background.
             self.metrics.incr("swr.stale_serves")
-            self.served_stale += 1
             self._schedule_refresh(entry)
             return self._answer(entry, now, stale=True, source="l1-swr")
         return self._answer(entry, now, stale=False, source="l1")
@@ -467,7 +471,6 @@ class CacheNode:
     def _serve_degraded(self, entry: ServiceEntry) -> Answer:
         now = self.clock.now()
         self.metrics.incr("get.degraded_serves")
-        self.served_stale += 1
         return self._answer(entry, now, stale=True, source="l1-degraded")
 
     async def _install(

@@ -101,8 +101,6 @@ class MobileClient:
         self._m_cache_misses = bind(m.CACHE_MISSES)
         self._m_stale_hits = bind(m.STALE_HITS)
         self._m_disconnections = bind(m.DISCONNECTIONS)
-        self._m_uplink_validation_bits = bind(m.UPLINK_VALIDATION_BITS)
-        self._m_uplink_request_bits = bind(m.UPLINK_REQUEST_BITS)
         self._m_energy_tx = bind(ENERGY_TX)
         self._m_energy_rx = bind(ENERGY_RX)
         self._m_latency_hist = metrics.bind_histogram(m.QUERY_LATENCY, base=0.1)
@@ -195,7 +193,6 @@ class MobileClient:
     def _send_tlb(self, tlb: float):
         """Upload the last-heard timestamp (adaptive schemes)."""
         size = tlb_upload_bits(self.params.timestamp_bits)
-        self._m_uplink_validation_bits.add(size)
         self._upload(MessageKind.TLB_UPLOAD, size, tlb)
 
     def _send_check_request(self, entries, size_bits: Optional[float]):
@@ -204,7 +201,6 @@ class MobileClient:
             size_bits = checking_upload_bits(
                 len(entries), self.params.db_size, self.params.timestamp_bits
             )
-        self._m_uplink_validation_bits.add(size_bits)
         self._upload(MessageKind.CHECK_REQUEST, size_bits, list(entries))
 
     # -- chaos-facing API (repro.chaos.ChaosInjector) ---------------------------
@@ -353,8 +349,6 @@ class MobileClient:
         priced like a ``Tlb`` upload.
         """
         size = nack_upload_bits(self.params.timestamp_bits)
-        self._m_uplink_validation_bits.add(size)
-        self.metrics.counter(m.NACK_BITS).add(size)
         self.metrics.counter(m.NACKS_SENT).add()
         self._upload(MessageKind.IR_NACK, size, n_missed)
 
@@ -537,9 +531,7 @@ class MobileClient:
         return 0
 
     def _send_data_request(self, item: int):
-        size = self.params.control_message_bits
-        self._m_uplink_request_bits.add(size)
-        self._upload(MessageKind.DATA_REQUEST, size, item)
+        self._upload(MessageKind.DATA_REQUEST, self.params.control_message_bits, item)
 
     def _backoff_delay(self, attempt: int) -> float:
         """Timeout for *attempt* (0-based): exponential with +-jitter."""

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterable
 
 from ..des.monitor import MetricSet
+from ..net import Channel, MessageKind
 
 # Counted by the client protocol core; re-exported under the same names.
 from ..schemes.session import (
@@ -89,6 +90,33 @@ REPORT_COUNT_PREFIX = "reports."   # + ReportKind.value
 
 QUERY_LATENCY = "query.latency"    # histogram
 REPORT_SIZE = "report.size_bits"   # tally
+
+#: The paper's bit counters, by the message kinds whose sent bits they
+#: sum (see :func:`bit_counters`).
+BIT_COUNTERS = {
+    MessageKind.INVALIDATION_REPORT: (DOWNLINK_IR_BITS,),
+    MessageKind.VALIDITY_REPORT: (DOWNLINK_VALIDITY_BITS,),
+    MessageKind.DATA_ITEM: (DOWNLINK_DATA_BITS,),
+    MessageKind.TLB_UPLOAD: (UPLINK_VALIDATION_BITS,),
+    MessageKind.CHECK_REQUEST: (UPLINK_VALIDATION_BITS,),
+    MessageKind.IR_NACK: (UPLINK_VALIDATION_BITS, NACK_BITS),
+    MessageKind.DATA_REQUEST: (UPLINK_REQUEST_BITS,),
+}
+
+
+def bit_counters(channels: Iterable[Channel], publish_bits: float) -> Dict[str, float]:
+    """The paper's bit counters, summed over *channels*' sent bits.
+    Pushed items (*publish_bits*) ride ``DATA_ITEM`` but are not fetches;
+    ``uplink.nack_bits`` is left out while zero."""
+    out = dict.fromkeys((key for keys in BIT_COUNTERS.values() for key in keys), 0.0)
+    for channel in channels:
+        for kind, bits in channel.stats.sent_bits.items():
+            for key in BIT_COUNTERS[kind]:
+                out[key] += bits
+    out[DOWNLINK_DATA_BITS] -= publish_bits
+    if not out[NACK_BITS]:
+        del out[NACK_BITS]
+    return out
 
 
 @dataclass
@@ -231,7 +259,9 @@ class SimulationResult:
 
     @property
     def downlink_ir_share(self) -> float:
-        """Fraction of delivered downlink bits spent on reports."""
+        """Report bits over report, on-demand data and validity bits, as
+        sent: reports on a dedicated report channel count, pushed items
+        do not."""
         ir = self.counter(DOWNLINK_IR_BITS)
         total = (
             ir

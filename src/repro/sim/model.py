@@ -533,29 +533,34 @@ class SimulationModel:
         # Kernel telemetry: lets the perf benches compute events/second
         # without reaching into Environment internals.
         raw["kernel.events_scheduled"] = float(self.env.scheduled_events)
+        # The paper's bit counters: sums over every cell's channels.
+        channels = [ch for cell in self.cells for ch in (cell.uplink, *cell.radios)]
+        raw.update(m.bit_counters(channels, raw.get(m.PUBLISH_BITS, 0.0)))
         # Channel telemetry joins the raw snapshot, one key set per
         # channel under its own name.
         for cell in self.cells:
             for channel in (cell.downlink, cell.uplink):
                 raw[f"{channel.name}.utilization"] = channel.stats.utilization(now)
                 raw[f"{channel.name}.bits_delivered"] = channel.stats.bits_delivered
-            for channel in (cell.downlink, cell.uplink, cell.ir_channel):
-                if channel is None or channel.faults is None:
-                    continue
-                stats = channel.faults.stats
-                raw[f"{channel.name}.fault_judged"] = float(stats.judged)
-                raw[f"{channel.name}.fault_drops"] = float(stats.dropped)
-                raw[f"{channel.name}.fault_corruptions"] = float(stats.corrupted)
-                raw[f"{channel.name}.fault_dropped_bits"] = stats.dropped_bits
-                raw[f"{channel.name}.fault_corrupted_bits"] = stats.corrupted_bits
-                raw[f"{channel.name}.fault_bursts"] = float(stats.bursts)
+        for channel in channels:
+            if channel.faults is None:
+                continue
+            stats = channel.faults.stats
+            raw[f"{channel.name}.fault_judged"] = float(stats.judged)
+            raw[f"{channel.name}.fault_drops"] = float(stats.dropped)
+            raw[f"{channel.name}.fault_corruptions"] = float(stats.corrupted)
+            raw[f"{channel.name}.fault_dropped_bits"] = stats.dropped_bits
+            raw[f"{channel.name}.fault_corrupted_bits"] = stats.corrupted_bits
+            raw[f"{channel.name}.fault_bursts"] = float(stats.bursts)
         # Liveness accounting (the safety oracle's second half): emitted
         # unconditionally so chaos-off comparisons carry the same keys.
-        from ..chaos.oracle import account_liveness
+        # Every channel's bit ledger must balance, or the run fails.
+        from ..chaos.oracle import account_liveness, balance_ledger
 
-        ledger = account_liveness(result, self.params.n_clients)
-        raw["oracle.queries_pending"] = float(ledger.pending)
-        raw["oracle.liveness_ok"] = 1.0 if ledger.ok else 0.0
+        balance_ledger(channels)
+        liveness = account_liveness(result, self.params.n_clients)
+        raw["oracle.queries_pending"] = float(liveness.pending)
+        raw["oracle.liveness_ok"] = 1.0 if liveness.ok else 0.0
         # Per-cell server telemetry, named like the channels: cell 0
         # keeps ``server.*`` and cell i reports ``server-i.*``.  Bounded
         # salvage state exists for adaptive schemes only, the control

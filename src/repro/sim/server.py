@@ -89,11 +89,6 @@ class Server:
         #: item -> queued DATA_ITEM message (coalescing window).
         self._pending_data: Dict[int, Message] = {}
         # Hot-path metric handles, resolved once (docs/PERFORMANCE.md).
-        self._m_downlink_ir_bits = metrics.bind_counter(m.DOWNLINK_IR_BITS)
-        self._m_downlink_data_bits = metrics.bind_counter(m.DOWNLINK_DATA_BITS)
-        self._m_downlink_validity_bits = metrics.bind_counter(
-            m.DOWNLINK_VALIDITY_BITS
-        )
         self._m_data_coalesced = metrics.bind_counter(m.DATA_COALESCED)
         self._m_duplicate_uplink = metrics.bind_counter(m.DUPLICATE_UPLINK)
         self._m_malformed_uplink = metrics.bind_counter(m.MALFORMED_UPLINK)
@@ -163,7 +158,6 @@ class Server:
                 # the downlink pays for redundancy, honestly.
                 if copy > 0:
                     self.metrics.counter(m.IR_REPEATS).add()
-                self._m_downlink_ir_bits.add(report.size_bits)
                 self.ir_channel.send(
                     Message(
                         kind=MessageKind.INVALIDATION_REPORT,
@@ -344,7 +338,6 @@ class Server:
         invalid, certified_at, reply_bits = self.policy.on_check_request(
             self, msg.src, msg.payload, self._knowledge_now(self.env.now)
         )
-        self._m_downlink_validity_bits.add(reply_bits)
         self.downlink.send(
             Message(
                 kind=MessageKind.VALIDITY_REPORT,
@@ -391,7 +384,6 @@ class Server:
             recipients=requesters,
         )
         self._pending_data[item] = data
-        self._m_downlink_data_bits.add(data.size_bits)
         self.downlink.send(data)
 
     def _on_downlink_delivered(self, msg: Message, now: float):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import get_figure, run_figure
+from repro.experiments import run_figure
 from repro.experiments.figures import Scale
 
 TINY = Scale(name="tiny", simulation_time=1200.0, n_clients=5)
@@ -13,12 +13,10 @@ def fast_cli(monkeypatch):
     """CLI with the sweep shrunk to a single fast cell."""
     import repro.experiments.cli as cli_mod
 
-    def fake_run_figure_parallel(figure_id, scale, seed, workers):
-        return run_figure(
-            get_figure(figure_id), scale=TINY, points=[1000], schemes=["bs"], seed=seed
-        )
+    def fake_run_figure(spec, scale, seed, workers):
+        return run_figure(spec, scale=TINY, points=[1000], schemes=["bs"], seed=seed)
 
-    monkeypatch.setattr(cli_mod, "run_figure_parallel", fake_run_figure_parallel)
+    monkeypatch.setattr(cli_mod, "run_figure", fake_run_figure)
     return cli_mod.main
 
 

@@ -66,20 +66,12 @@ class TestCLIOutput:
         # the runner to keep the test quick.
         import repro.experiments.cli as cli_mod
 
-        def fake_run_figure_parallel(figure_id, scale, seed, workers):
-            from repro.experiments import get_figure
-
+        def fake_run_figure(spec, scale, seed, workers):
             return run_figure(
-                get_figure(figure_id),
-                scale=TINY,
-                points=[1000],
-                schemes=["bs"],
-                seed=seed,
+                spec, scale=TINY, points=[1000], schemes=["bs"], seed=seed
             )
 
-        monkeypatch.setattr(
-            cli_mod, "run_figure_parallel", fake_run_figure_parallel
-        )
+        monkeypatch.setattr(cli_mod, "run_figure", fake_run_figure)
         assert main(["--figure", "fig06", "--output", str(tmp_path)]) == 0
         saved = tmp_path / "fig06.json"
         assert saved.exists()

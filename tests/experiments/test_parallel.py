@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import get_figure, run_figure, run_figure_parallel
+from repro.experiments import get_figure, run_figure
 from repro.experiments.figures import Scale
 
 TINY = Scale(name="tiny", simulation_time=1500.0, n_clients=8)
@@ -14,8 +14,8 @@ class TestParallelSweep:
         kwargs = dict(
             scale=TINY, points=[1000, 10_000], schemes=["aaw", "bs"], seed=3
         )
-        serial = run_figure(get_figure("fig05"), **kwargs)
-        parallel = run_figure_parallel("fig05", workers=2, **kwargs)
+        serial = run_figure(get_figure("fig05"), workers=1, **kwargs)
+        parallel = run_figure(get_figure("fig05"), workers=2, **kwargs)
         return serial, parallel
 
     def test_results_bit_identical_to_serial(self, pair):
@@ -29,14 +29,14 @@ class TestParallelSweep:
         assert parallel.results["bs"][1].raw  # raw metrics survived pickling
 
     def test_single_worker_runs_inline(self):
-        result = run_figure_parallel(
-            "fig06", scale=TINY, points=[1000], schemes=["bs"], workers=1
+        result = run_figure(
+            get_figure("fig06"), scale=TINY, points=[1000], schemes=["bs"], workers=1
         )
         assert result.series["bs"] == [0.0]
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
-            run_figure_parallel("fig05", scale=TINY, workers=0)
+            run_figure(get_figure("fig05"), scale=TINY, workers=0)
 
     def test_cli_accepts_workers_flag(self):
         from repro.experiments.cli import build_parser

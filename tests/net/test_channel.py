@@ -2,8 +2,20 @@
 
 import pytest
 
-from repro.des import Environment
-from repro.net import BROADCAST, Channel, Message, MessageKind, SERVER_ID
+from repro.chaos.oracle import LedgerViolation, balance_ledger
+from repro.des import Environment, RandomStreams
+from repro.net import (
+    BROADCAST,
+    Channel,
+    FaultConfig,
+    FaultModel,
+    Message,
+    MessageKind,
+    SERVER_ID,
+)
+
+IR = MessageKind.INVALIDATION_REPORT
+DATA = MessageKind.DATA_ITEM
 
 
 @pytest.fixture
@@ -36,10 +48,6 @@ class TestTransmissionTiming:
         done = ch.send(msg(MessageKind.TLB_UPLOAD, 0))
         env.run(until=done)
         assert env.now == 0.0
-
-    def test_transmission_time_helper(self, env):
-        ch = Channel(env, bandwidth_bps=10000)
-        assert ch.transmission_time(20000) == pytest.approx(2.0)
 
     def test_invalid_bandwidth(self, env):
         with pytest.raises(ValueError):
@@ -227,7 +235,7 @@ class TestDelivery:
         done = ch.send(m)
         result = env.run(until=done)
         assert result is m
-        assert m.delivered_at == pytest.approx(1.0)
+        assert env.now == pytest.approx(1.0)
 
     def test_resending_in_flight_message_raises(self, env):
         """Regression: re-sending the same object while it is queued or on
@@ -244,7 +252,7 @@ class TestDelivery:
         env.run(until=ch.send(m))
         done = ch.send(m)  # a fresh transmission of the same object
         env.run(until=done)
-        assert m.delivered_at == pytest.approx(2.0)
+        assert env.now == pytest.approx(2.0)
 
 
 class TestStats:
@@ -253,7 +261,8 @@ class TestStats:
         for size in (100, 250, 50):
             ch.send(msg(MessageKind.DATA_ITEM, size))
         env.run()
-        assert ch.stats.bits_enqueued == 400
+        assert ch.stats.sent_bits == {DATA: 400}
+        assert ch.stats.delivered_bits == {DATA: 400}
         assert ch.stats.bits_delivered == 400
         assert ch.stats.messages_delivered == 3
 
@@ -268,8 +277,8 @@ class TestStats:
         ch.send(msg(MessageKind.INVALIDATION_REPORT, 70))
         ch.send(msg(MessageKind.DATA_ITEM, 30))
         env.run()
-        assert ch.stats.bits_by_kind[MessageKind.INVALIDATION_REPORT] == 70
-        assert ch.stats.bits_by_kind[MessageKind.DATA_ITEM] == 30
+        assert ch.stats.delivered_bits[MessageKind.INVALIDATION_REPORT] == 70
+        assert ch.stats.delivered_bits[MessageKind.DATA_ITEM] == 30
 
     def test_utilization_under_preemption_still_conserves(self, env):
         ch = Channel(env, bandwidth_bps=100)
@@ -284,6 +293,81 @@ class TestStats:
         # 1100 bits at 100 bps = 11 s busy total, no gaps here.
         assert ch.stats.bits_delivered == 1100
         assert ch.stats.utilization(env.now) == pytest.approx(1.0)
+
+
+class TestLedger:
+    """Per kind, the bits a channel accepted equal the bits it delivered
+    plus the bits of the messages it still holds."""
+
+    def test_preempted_message_is_counted_once(self, env):
+        ch = Channel(env, bandwidth_bps=100)
+
+        def sender(env):
+            ch.send(msg(DATA, 1000, payload="big"))
+            yield env.timeout(2)
+            ch.send(msg(IR, 100, payload="ir"))
+
+        env.process(sender(env))
+        env.run(until=5)  # the report went out at 3; "big" resumed
+        assert ch.stats.preemptions == 1
+        assert ch.stats.sent_bits == {DATA: 1000, IR: 100}
+        assert ch.stats.delivered_bits == {IR: 100}
+        assert ch.undelivered_bits() == {DATA: 1000}
+        balance_ledger([ch])
+        env.run()
+        assert ch.stats.delivered_bits == {IR: 100, DATA: 1000}
+        assert ch.undelivered_bits() == {}
+        balance_ledger([ch])
+
+    def test_horizon_mid_transmission(self, env):
+        ch = Channel(env, bandwidth_bps=100, name="air")
+        check = MessageKind.VALIDITY_REPORT
+        ch.send(msg(DATA, 300))
+        ch.send(msg(check, 100))  # outranks the data: on the air first
+        ch.send(msg(DATA, 50))
+        env.run(until=2.5)  # "300" is on the air, "50" queued behind it
+        assert ch.stats.sent_bits == {DATA: 350, check: 100}
+        assert ch.stats.delivered_bits == {check: 100}
+        assert ch.undelivered_bits() == {DATA: 350}
+        balance_ledger([ch])
+        ch.stats.sent_bits[DATA] += 1
+        with pytest.raises(
+            LedgerViolation,
+            match=r"channel air, MessageKind.DATA_ITEM: sent 351.0 bits != "
+            r"delivered 0.0 \+ undelivered 350.0",
+        ):
+            balance_ledger([ch])
+
+    def test_zero_size_message(self, env):
+        ch = Channel(env, bandwidth_bps=10)
+        ch.send(msg(MessageKind.TLB_UPLOAD, 0))
+        assert ch.undelivered_bits() == {MessageKind.TLB_UPLOAD: 0.0}
+        balance_ledger([ch])
+        env.run()
+        assert ch.stats.sent_bits == {MessageKind.TLB_UPLOAD: 0.0}
+        assert ch.stats.delivered_bits == {MessageKind.TLB_UPLOAD: 0.0}
+        assert ch.stats.messages_delivered == 1
+        assert ch.undelivered_bits() == {}
+        balance_ledger([ch])
+
+    def test_lossy_receivers_leave_delivered_bits_alone(self, env):
+        config = FaultConfig(drop_prob=0.3, bit_error_rate=0.005)
+        lossy = Channel(
+            env, 100, faults=FaultModel(config, RandomStreams(5).stream("f"))
+        )
+        clean = Channel(env, 100)
+        for ch in (lossy, clean):
+            for dest in range(4):
+                ch.attach(lambda m, now: None, dest=dest)
+            for size in (100, 200, 300):
+                ch.send(msg(IR, size))
+                ch.send(msg(DATA, size, dest=1))
+        env.run()
+        stats = lossy.faults.stats
+        assert stats.dropped > 0 and stats.corrupted > 0
+        assert lossy.stats.delivered_bits == clean.stats.delivered_bits
+        assert lossy.stats.delivered_bits == {IR: 600, DATA: 600}
+        balance_ledger([lossy])
 
 
 class TestListeningGate:

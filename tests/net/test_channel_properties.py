@@ -55,8 +55,8 @@ def test_every_message_is_delivered_exactly_once(mix):
 def test_bits_are_conserved(mix):
     channel, delivered = run_mix(mix)
     total = sum(size for _k, size, _t in mix)
-    assert channel.stats.bits_enqueued == total
-    assert channel.stats.bits_delivered == total
+    assert sum(channel.stats.sent_bits.values()) == total
+    assert sum(channel.stats.delivered_bits.values()) == total
 
 
 @settings(max_examples=60, deadline=None)

@@ -38,10 +38,6 @@ class TestPriorities:
 
 
 class TestMessage:
-    def test_broadcast_flag(self):
-        assert make(MessageKind.INVALIDATION_REPORT).is_broadcast
-        assert not make(MessageKind.DATA_ITEM, dest=3).is_broadcast
-
     def test_remaining_bits_initialized(self):
         msg = make(MessageKind.DATA_ITEM, size=64)
         assert msg.remaining_bits == 64.0
@@ -49,8 +45,3 @@ class TestMessage:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             make(MessageKind.DATA_ITEM, size=-1)
-
-    def test_timestamps_unset_until_sent(self):
-        msg = make(MessageKind.DATA_ITEM)
-        assert msg.enqueued_at is None
-        assert msg.delivered_at is None

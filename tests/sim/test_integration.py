@@ -1,7 +1,6 @@
 """End-to-end model behaviour: determinism, accounting, scheme mechanisms."""
 
-import pytest
-
+from repro.net import MessageKind
 from repro.sim import (
     HOTCOLD,
     UNIFORM,
@@ -62,22 +61,30 @@ class TestDeterminism:
 
 class TestAccounting:
     def test_data_bits_match_misses_net_of_coalescing(self):
-        result = run_simulation(params(), UNIFORM, "ts")
+        model = SimulationModel(params(), UNIFORM, "ts")
+        result = model.run()
+        p = model.params
         misses = result.counter(CACHE_MISSES)
         coalesced = result.counter("data.coalesced")
-        sent = result.counter(DOWNLINK_DATA_BITS) / 65536.0
-        # Items sent = misses - coalesced, modulo the handful still queued
-        # at the horizon.
-        assert sent == pytest.approx(misses - coalesced, abs=10)
+        sent = result.counter(DOWNLINK_DATA_BITS) / p.item_size_bits
+        # The retry layer is off, so each miss sends one request: the
+        # server coalesces it, answers it with an item, or has not
+        # received it yet.
+        unheard = (
+            model.uplink.undelivered_bits().get(MessageKind.DATA_REQUEST, 0.0)
+            / p.control_message_bits
+        )
+        assert sent == misses - coalesced - unheard
 
     def test_hits_plus_misses_equals_items(self):
-        result = run_simulation(params(), UNIFORM, "aaw")
+        model = SimulationModel(params(), UNIFORM, "aaw")
+        result = model.run()
         served = result.counter("queries.items_served")
         accessed = result.counter(CACHE_HITS) + result.counter(CACHE_MISSES)
         # Misses are counted when the fetch starts, items_served when it
-        # completes: fetches in flight at the horizon explain the slack
-        # (at most one per client).
-        assert served <= accessed <= served + 10
+        # completes: the fetches still outstanding at the horizon.
+        outstanding = sum(len(client._data_waits) for client in model.clients)
+        assert accessed == served + outstanding
 
     def test_bs_has_zero_validation_uplink(self):
         result = run_simulation(params(), UNIFORM, "bs")
