@@ -23,9 +23,9 @@ make that an invariant the gate checks, over the project call graph:
   without an exception-handling ``add_done_callback`` and never
   awaited/returned): task exceptions would vanish into "never
   retrieved" warnings instead of the node's failure accounting.
-  (``asyncio.ensure_future`` in the virtual clock is the sanctioned
-  low-level shim and predates tasks; the rule covers ``create_task``,
-  the API node code is expected to use.)
+  The rule covers ``create_task``, the API node code is expected to
+  use; the virtual clock starts no tasks at all (``drive`` and
+  ``with_deadline`` run their awaitable on the caller's task).
 """
 
 from __future__ import annotations

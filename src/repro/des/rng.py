@@ -15,7 +15,7 @@ not depend on creation order.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Union
 
 import numpy as np
 
@@ -25,33 +25,6 @@ def _derive_entropy(seed: int, name: str) -> int:
     return int.from_bytes(digest[:16], "little")
 
 
-# Initial PCG64 states memoized per (seed, name): deriving a state via
-# SeedSequence costs ~60us, restoring a cached one ~25us, and sweeps
-# re-create the same few hundred streams for every scheme/cell run.
-# Capped so an unbounded seed sweep cannot balloon memory.
-_STATE_CACHE: Dict[Tuple[int, str], Dict[str, Any]] = {}
-_STATE_CACHE_MAX = 4096
-_pcg_template: Optional[np.random.PCG64] = None
-
-
-def _make_bitgen(seed: int, name: str) -> np.random.PCG64:
-    global _pcg_template
-    key = (seed, name)
-    state = _STATE_CACHE.get(key)
-    if state is not None:
-        # A cached state implies the template was set on first creation.
-        assert _pcg_template is not None
-        bitgen = _pcg_template.jumped(0)  # cheap copy; state overwritten
-        bitgen.state = state
-        return bitgen
-    bitgen = np.random.PCG64(np.random.SeedSequence(_derive_entropy(seed, name)))
-    if _pcg_template is None:
-        _pcg_template = bitgen.jumped(0)
-    if len(_STATE_CACHE) < _STATE_CACHE_MAX:
-        _STATE_CACHE[key] = bitgen.state
-    return bitgen
-
-
 class RandomStream:
     """A single named stream with the distributions the model needs."""
 
@@ -59,7 +32,9 @@ class RandomStream:
 
     def __init__(self, seed: int, name: str) -> None:
         self.name = name
-        self._gen = np.random.Generator(_make_bitgen(seed, name))
+        self._gen = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(_derive_entropy(seed, name)))
+        )
 
     def exponential(self, mean: float) -> float:
         """Exponential variate with the given *mean* (not rate)."""

@@ -38,10 +38,6 @@ class FigureResult:
         """Total stale cache hits of *scheme* across the sweep."""
         return sum(r.stale_hits for r in self.results[scheme])
 
-    def total_stale_hits(self) -> float:
-        """Total stale cache hits across every (scheme, x) cell."""
-        return sum(self.stale_hits_of(scheme) for scheme in self.results)
-
     def oracle_verdict_of(self, scheme: str) -> str:
         """Worst oracle verdict of *scheme* across the sweep (SAFE when
         every cell served zero stale reads and balanced its queries)."""

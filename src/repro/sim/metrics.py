@@ -217,11 +217,6 @@ class SimulationResult:
         return self.counter(CELL_CRASHES)
 
     @property
-    def coop_backfills(self) -> float:
-        """Neighbor-cell history grafts that saved a roamer's salvage."""
-        return self.counter(COOP_BACKFILLS)
-
-    @property
     def queries_pending(self) -> float:
         """Queries still in flight at the horizon (issued - answered)."""
         return self.counter(QUERIES_GENERATED) - self.counter(QUERIES_ANSWERED)

@@ -537,12 +537,10 @@ class SimulationModel:
         channels = [ch for cell in self.cells for ch in (cell.uplink, *cell.radios)]
         raw.update(m.bit_counters(channels, raw.get(m.PUBLISH_BITS, 0.0)))
         # Channel telemetry joins the raw snapshot, one key set per
-        # channel under its own name.
-        for cell in self.cells:
-            for channel in (cell.downlink, cell.uplink):
-                raw[f"{channel.name}.utilization"] = channel.stats.utilization(now)
-                raw[f"{channel.name}.bits_delivered"] = channel.stats.bits_delivered
+        # channel under its own name (a dedicated report channel too).
         for channel in channels:
+            raw[f"{channel.name}.utilization"] = channel.stats.utilization(now)
+            raw[f"{channel.name}.bits_delivered"] = channel.stats.bits_delivered
             if channel.faults is None:
                 continue
             stats = channel.faults.stats

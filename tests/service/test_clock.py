@@ -2,6 +2,7 @@
 and how many event-loop turns the clock's own plumbing costs."""
 
 import asyncio
+from unittest import mock
 
 import pytest
 
@@ -312,8 +313,9 @@ def test_call_later_fires_in_heap_order_with_sleeps():
     run(main())
 
 
-def test_with_deadline_waits_on_one_task():
-    """The deadline is a clock timer, not a second task racing the call."""
+def test_with_deadline_starts_no_task():
+    """The deadline is a clock timer on the caller's own task: no second
+    task runs the call."""
 
     async def main():
         clock = RecordingVirtualClock()
@@ -325,7 +327,7 @@ def test_with_deadline_waits_on_one_task():
         before = asyncio.all_tasks()
         caller = asyncio.ensure_future(with_deadline(clock, slow(), timeout=5.0))
         await clock.advance(1.0)
-        assert len(asyncio.all_tasks() - before - {caller}) == 1
+        assert asyncio.all_tasks() - before == {caller}
         assert len(clock.handles) == 1 and not clock.handles[0].cancelled()
         await clock.advance(3.0)
         assert await caller == "done"
@@ -417,47 +419,304 @@ def test_idle_advance_takes_no_loop_turns():
 PARAMS = ServiceParams(broadcast_interval=20.0, db_size=50, cache_capacity=16, seed=7)
 
 
-def test_node_get_loop_turns_are_pinned():
-    """An L2-miss get costs 4 loop turns and an L1 hit 1.
+async def _pinned_node(clock, loop):
+    """The pins' node, started and past its first reports at t = 45 s;
+    returns it with the function that stops it."""
+    broker = InMemoryBroker()
+    origin = Origin("ts", PARAMS, clock=clock, broker=broker)
+    node = CacheNode(
+        "ts",
+        PARAMS,
+        backend=InMemoryBackend(origin, 0.05),
+        broker=broker,
+        clock=clock,
+        config=NodeConfig(
+            retry=RetryConfig(
+                attempts=2, base_delay=0.05, jitter=0.0, attempt_timeout=0.5
+            ),
+            deadline=0.5,
+        ),
+    )
+    await node.start()
+    origin_task = loop.create_task(origin.run())
+    await clock.run_until(45.0)
 
-    The turns are: the get's first step (its L1 miss starts the retried
-    L2 attempt), the attempt's first step (the fetch sleeps out its
-    round trip), the fetch waking at the round trip's end, and the get
-    resuming with the answer.  A change that adds plumbing turns to
-    the hot path shows up here before it shows up in a benchmark.
+    async def stop():
+        origin.stop()
+        origin_task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await origin_task
+        await node.stop()
+
+    return node, stop
+
+
+def test_node_get_loop_turns_are_pinned():
+    """An L2-miss get costs 2 loop turns and an L1 hit none.
+
+    The get, its retried L2 attempt and the fetch all run on the
+    driver's own task, up to the fetch's round-trip sleep.  The turns
+    are: the drive's pump firing that sleep, and the get resuming with
+    the answer.  The L1 hit never suspends, so it takes no turn at all.
+    A change that adds plumbing turns to the hot path shows up here
+    before it shows up in a benchmark.
     """
 
     async def main(loop):
         clock = VirtualClock()
-        broker = InMemoryBroker()
-        origin = Origin("ts", PARAMS, clock=clock, broker=broker)
-        node = CacheNode(
-            "ts",
-            PARAMS,
-            backend=InMemoryBackend(origin, 0.05),
-            broker=broker,
-            clock=clock,
-            config=NodeConfig(
-                retry=RetryConfig(
-                    attempts=2, base_delay=0.05, jitter=0.0, attempt_timeout=0.5
-                ),
-                deadline=0.5,
-            ),
-        )
-        await node.start()
-        origin_task = loop.create_task(origin.run())
-        await clock.run_until(45.0)
+        node, stop = await _pinned_node(clock, loop)
         turns = loop.turns
         miss = await clock.drive(node.get(3))
         miss_turns = loop.turns - turns
         turns = loop.turns
         hit = await clock.drive(node.get(3))
         hit_turns = loop.turns - turns
-        origin.stop()
-        origin_task.cancel()
-        with pytest.raises(asyncio.CancelledError):
-            await origin_task
-        await node.stop()
+        await stop()
         return miss.source, miss_turns, hit.source, hit_turns
 
-    assert run_counted(main) == ("l2", 4, "l1", 1)
+    assert run_counted(main) == ("l2", 2, "l1", 0)
+
+
+def test_calls_that_never_suspend_arm_no_timer():
+    """An L1 hit, and a deadline around an awaitable that returns at
+    once, leave the clock's heap as they found it."""
+
+    async def main(loop):
+        clock = VirtualClock()
+        node, stop = await _pinned_node(clock, loop)
+        await clock.drive(node.get(3))
+        timers = clock.pending_timers
+        hit = await clock.drive(node.get(3))
+        assert hit.source == "l1"
+        assert clock.pending_timers == timers
+
+        async def quick():
+            return "now"
+
+        assert await with_deadline(clock, quick(), 1.0) == "now"
+        assert clock.pending_timers == timers
+        await stop()
+
+    run_counted(main)
+
+
+def run_guarded(coro, seconds=10.0):
+    """Run *coro*; a stalled virtual timeline fails after *seconds* of
+    real time instead of hanging the suite."""
+    loop = asyncio.new_event_loop()
+    guard = loop.call_later(seconds, loop.stop)
+    try:
+        return loop.run_until_complete(coro)
+    finally:
+        guard.cancel()
+        loop.close()
+
+
+#: ``Task.cancelling()``/``uncancel()`` exist (Python 3.11+).
+COUNTS_CANCELS = hasattr(asyncio.Task, "uncancel")
+
+
+def test_nested_deadlines_inner_expires_first():
+    async def main():
+        clock = VirtualClock()
+        seen = []
+
+        async def middle():
+            try:
+                await with_deadline(clock, clock.sleep(100.0), 1.0)
+            except DeadlineExceeded:
+                seen.append(("inner", clock.now()))
+            await clock.sleep(100.0)
+
+        with pytest.raises(DeadlineExceeded):
+            await clock.drive(with_deadline(clock, middle(), 5.0))
+        seen.append(("outer", clock.now()))
+        if COUNTS_CANCELS:
+            assert asyncio.current_task().cancelling() == 0
+        return seen
+
+    assert run_guarded(main()) == [("inner", 1.0), ("outer", 5.0)]
+
+
+def test_nested_deadlines_outer_expires_first():
+    """The outer expiry passes through the inner deadline as a plain
+    cancellation; only the outer converts it, and both timers end
+    disarmed."""
+
+    async def main():
+        clock = RecordingVirtualClock()
+        seen = []
+
+        async def middle():
+            try:
+                await with_deadline(clock, clock.sleep(100.0), 5.0)
+            except DeadlineExceeded:
+                seen.append(("inner", clock.now()))
+            except asyncio.CancelledError:
+                seen.append(("cancelled", clock.now()))
+                raise
+
+        with pytest.raises(DeadlineExceeded):
+            await clock.drive(with_deadline(clock, middle(), 1.0))
+        assert [h.cancelled() for h in clock.handles] == [True, True]
+        await clock.advance(10.0)  # past the inner deadline: nothing fires
+        return seen
+
+    assert run_guarded(main()) == [("cancelled", 1.0)]
+
+
+@pytest.mark.skipif(not COUNTS_CANCELS, reason="Task.cancelling() is 3.11+")
+def test_deadline_takes_its_cancel_request_back():
+    async def main():
+        clock = VirtualClock()
+        task = asyncio.current_task()
+
+        async def stubborn():
+            try:
+                await clock.sleep(10.0)
+            except asyncio.CancelledError:
+                return "swallowed"
+
+        for body in (clock.sleep(10.0), stubborn()):
+            with pytest.raises(DeadlineExceeded):
+                await clock.drive(with_deadline(clock, body, 1.0))
+            assert task.cancelling() == 0
+
+    run_guarded(main())
+
+
+def test_drive_awaits_a_future_and_a_task():
+    async def main():
+        clock = VirtualClock()
+        loop = asyncio.get_running_loop()
+        fut = loop.create_future()
+        clock.call_later(1.0, lambda: None)
+        clock.call_later(2.0, lambda: fut.set_result("future"))
+        assert await clock.drive(fut) == "future"
+        assert clock.now() == 2.0
+
+        async def worker():
+            await clock.sleep(3.0)
+            return "task"
+
+        assert await clock.drive(loop.create_task(worker())) == "task"
+        assert clock.now() == 5.0
+
+    run_guarded(main())
+
+
+class Boom(Exception):
+    pass
+
+
+def test_drive_raises_errors_before_and_after_a_suspension():
+    async def main():
+        clock = VirtualClock()
+        loop = asyncio.get_running_loop()
+
+        async def early():
+            raise Boom("early")
+
+        with pytest.raises(Boom, match="early"):
+            await clock.drive(early())
+        assert clock.pending_timers == 0
+
+        fired = []
+
+        async def late():
+            # Queued behind this step: a timer due with the sleep but
+            # holding the later eid.
+            loop.call_soon(
+                lambda: clock.call_later(1.0, lambda: fired.append(clock.now()))
+            )
+            await clock.sleep(1.0)
+            raise Boom("late")
+
+        with pytest.raises(Boom, match="late"):
+            await clock.drive(late())
+        # Whatever was due at the failing instant fired before the raise.
+        assert fired == [1.0]
+        assert clock.pending_timers == 0
+
+    run_guarded(main())
+
+
+def test_drive_raises_a_failing_timer_callback():
+    """A timer callback that raises ends the drive with its error, after
+    the awaitable's cleanup, instead of stalling the pump."""
+
+    async def main():
+        clock = VirtualClock()
+        cleaned = []
+
+        def explode():
+            raise Boom("timer")
+
+        async def wait():
+            try:
+                await clock.sleep(5.0)
+            finally:
+                cleaned.append(clock.now())
+
+        clock.call_later(1.0, explode)
+        with pytest.raises(Boom, match="timer"):
+            await clock.drive(wait())
+        assert cleaned == [1.0]
+
+    run_guarded(main())
+
+
+def test_drive_and_deadline_keep_the_fifo_slot():
+    """Entered while callbacks are runnable, the awaitable's first step
+    runs behind them, where a new task's first step would have run."""
+
+    async def main():
+        clock = VirtualClock()
+        loop = asyncio.get_running_loop()
+        order = []
+
+        async def first_step():
+            order.append("step")
+
+        for enter in (clock.drive, lambda aw: with_deadline(clock, aw, 1.0)):
+            order.clear()
+            loop.call_soon(order.append, "queued")
+            await enter(first_step())
+            assert order == ["queued", "step"]
+
+    run_guarded(main())
+
+
+def test_deadlock_raises_after_cleanup_and_leaves_no_task():
+    async def main():
+        clock = VirtualClock()
+        cleaned = []
+
+        async def stuck():
+            try:
+                await asyncio.get_running_loop().create_future()
+            finally:
+                cleaned.append(clock.now())
+
+        clock.call_later(2.0, lambda: None)
+        before = asyncio.all_tasks()
+        with pytest.raises(RuntimeError, match="deadlock"):
+            await clock.drive(stuck())
+        assert cleaned == [2.0]
+        assert asyncio.all_tasks() == before
+        if COUNTS_CANCELS:
+            assert asyncio.current_task().cancelling() == 0
+
+    run_guarded(main())
+
+
+def test_virtual_clock_needs_a_ready_queue():
+    class ForeignLoop:
+        """A loop that keeps no CPython ready queue."""
+
+    async def main():
+        with mock.patch.object(asyncio, "get_running_loop", ForeignLoop):
+            with pytest.raises(TypeError, match="ForeignLoop"):
+                await VirtualClock().advance(1.0)
+
+    run(main())

@@ -40,6 +40,13 @@ class TestChannelSeparation:
         model.run()
         assert MessageKind.INVALIDATION_REPORT in kinds
 
+    def test_report_channel_airtime_reaches_raw(self):
+        model = SimulationModel(params(ir_channel_bps=4000.0), UNIFORM, "bs")
+        raw = model.run().raw
+        stats = model.ir_channel.stats
+        assert raw["ir-channel.bits_delivered"] == stats.bits_delivered > 0
+        assert raw["ir-channel.utilization"] == stats.utilization(model.env.now) > 0
+
     def test_validation_of_channel_bandwidth(self):
         with pytest.raises(ValueError):
             SystemParams(ir_channel_bps=0.0)
