@@ -15,6 +15,7 @@ not depend on creation order.
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Any, Dict, List, Sequence, Union
 
 import numpy as np
@@ -59,6 +60,30 @@ class RandomStream:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability {p} outside [0, 1]")
         return bool(self._gen.random() < p)
+
+    def bernoulli_exponentials(
+        self, n: int, p: float, mean: float
+    ) -> "np.ndarray[Any, Any]":
+        """*n* trials of :meth:`bernoulli` (*p*), each followed on heads by
+        :meth:`exponential` (*mean*): the variates, NaN where a coin
+        landed tails.
+
+        Makes exactly the draws of those scalar calls, in their order,
+        and leaves the stream where they would.  Coins and variates
+        interleave, so neither can be drawn as a block; what this saves
+        is a Python call frame per draw.
+        """
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"probability {p} outside [0, 1]")
+        if mean < 0:
+            raise ValueError("mean must be non-negative")
+        coin = self._gen.random
+        if mean == 0:
+            draws = (0.0 if coin() < p else math.nan for _ in range(n))
+        else:
+            variate = self._gen.exponential
+            draws = (variate(mean) if coin() < p else math.nan for _ in range(n))
+        return np.fromiter(draws, dtype=float, count=n)
 
     def uniforms(self, n: int) -> List[float]:
         """The stream's next *n* uniform floats in ``[0, 1)``, as a list.

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des import RandomStream, RandomStreams
 
@@ -122,3 +124,37 @@ class TestStateMemoization:
         b = RandomStream(992, "memo-iso")
         a.uniform()  # advancing one must not advance the other
         assert b.uniform() == RandomStream(992, "memo-iso").uniform()
+
+
+class TestBernoulliExponentials:
+    """The batch draw equals the scalar coin-then-variate calls."""
+
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 60),
+        p=st.one_of(
+            st.just(1.0),
+            st.floats(0.0, 1.0, exclude_min=True, allow_nan=False),
+        ),
+        mean=st.one_of(st.just(0.0), st.floats(1e-6, 1e7, allow_nan=False)),
+    )
+    def test_equals_scalar_calls_on_a_twin(self, seed, n, p, mean):
+        batch = RandomStream(seed, "twin")
+        scalar = RandomStream(seed, "twin")
+        expected = [
+            scalar.exponential(mean) if scalar.bernoulli(p) else None
+            for _ in range(n)
+        ]
+        got = batch.bernoulli_exponentials(n, p, mean)
+        assert got.shape == (n,)
+        assert [None if np.isnan(v) else float(v) for v in got] == expected
+        # Both streams stand at the same next draw.
+        assert batch.uniform() == scalar.uniform()
+
+    def test_rejects_what_the_scalar_calls_reject(self):
+        stream = RandomStream(5, "twin")
+        with pytest.raises(ValueError):
+            stream.bernoulli_exponentials(3, 1.5, 1.0)
+        with pytest.raises(ValueError):
+            stream.bernoulli_exponentials(3, 0.5, -1.0)

@@ -9,7 +9,8 @@ knob setting and workload — exactly the kind of claim Hypothesis is for:
   while clients doze, wake, and hand off between cells.
 * **Strata well-formedness** — stratum counts are strictly positive
   (empty strata are removed eagerly) and sum to the resident count, and
-  the wake calendar holds one entry per resident.
+  the wake calendar holds one entry per resident: the absorbed heap's
+  entries plus the seeded entries not yet woken.
 * **Reconstructibility** — a cache rebuilt from a stratum signature has
   exactly that signature, honest ``Tlb``-time entries, and a matching
   certification floor, for any signature the pool can produce.
@@ -44,7 +45,8 @@ def _pool_invariants(model):
     assert all(count > 0 for count in pool.strata.values())
     assert sum(pool.strata.values()) == pool.residents
     # The wake calendar holds exactly one entry per resident.
-    assert len(pool.calendar) == pool.residents
+    unwoken_seeded = len(pool.seeded_wake) - pool.seeded_next
+    assert len(pool.heap) + unwoken_seeded == pool.residents
 
 
 @settings(max_examples=10)
@@ -77,6 +79,22 @@ def test_pool_conservation_through_doze_wake(
     for checkpoint in (300.0, 800.0, 1500.0):
         model.env.run(until=checkpoint)
         _pool_invariants(model)
+
+
+def test_all_tails_seeding_files_no_stratum():
+    """A seeding coin that lands tails for every client constructs the
+    whole tail and files no stratum, not one with a count of 0."""
+    params = SystemParams(
+        simulation_time=100.0,
+        n_clients=6,
+        db_size=200,
+        seed=0,
+        aggregation=AggregationConfig(k_exact=2, start_in_pool=1e-9),
+    )
+    model = SimulationModel(params, UNIFORM, "aaw")
+    assert len(model.clients) == params.n_clients
+    assert model.population.strata == {}
+    _pool_invariants(model)
 
 
 @settings(max_examples=5)
