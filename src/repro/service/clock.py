@@ -134,14 +134,22 @@ class VirtualClock:
     (``asyncio.sleep(0)`` yields are fine).  The clock steps by the
     loop's ready queue, which every CPython ``BaseEventLoop`` keeps; on
     a loop without one it raises ``TypeError``.
+
+    One driver at a time: :meth:`advance`, :meth:`run_until` or
+    :meth:`drive` raises ``RuntimeError`` if it starts while another is
+    in progress on the same clock, from another task or nested inside a
+    driven awaitable.  Two drivers would each yield to the other's
+    wake-up forever and never fire an entry.
     """
 
-    __slots__ = ("_now", "_eid", "_heap")
+    __slots__ = ("_now", "_eid", "_heap", "_driving")
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = start
         self._eid = 0
         self._heap: List[_TimerEntry] = []
+        #: Whether an advance, run_until or drive is in progress.
+        self._driving = False
 
     def now(self) -> float:
         return self._now
@@ -197,6 +205,15 @@ class VirtualClock:
             return entry
         return None
 
+    def _claim(self) -> None:
+        """Mark a driver in progress; refuse a second one."""
+        if self._driving:
+            raise RuntimeError(
+                "another advance, run_until or drive is in progress on "
+                "this clock; only one may drive it at a time"
+            )
+        self._driving = True
+
     async def advance(self, dt: float) -> None:
         """Move time forward by *dt*, firing due entries in heap order.
 
@@ -207,19 +224,27 @@ class VirtualClock:
         """
         if dt < 0:
             raise ValueError("cannot advance time backwards")
-        target = self._now + dt
-        await _drain_loop()
-        while self._fire_next(target) is not None:
+        self._claim()
+        try:
+            target = self._now + dt
             await _drain_loop()
-        self._now = target
-        await _drain_loop()
+            while self._fire_next(target) is not None:
+                await _drain_loop()
+            self._now = target
+            await _drain_loop()
+        finally:
+            self._driving = False
 
     async def run_until(self, when: float) -> None:
         """Advance to absolute time *when* (no-op if already past it)."""
         if when > self._now:
             await self.advance(when - self._now)
-        else:
+            return
+        self._claim()
+        try:
             await _drain_loop()
+        finally:
+            self._driving = False
 
     async def drive(self, awaitable: Awaitable[T]) -> T:
         """Run *awaitable* to completion on the caller's task, advancing
@@ -235,18 +260,23 @@ class VirtualClock:
         waited on the clock) the loop is only drained.  Raises
         ``RuntimeError`` if the awaitable deadlocks — is still pending
         with nothing runnable and no timer left to fire — after the
-        awaitable has been cancelled and its cleanup has run.
+        awaitable has been cancelled and its cleanup has run, and before
+        touching the awaitable if another driver is in progress.
         """
         loop = asyncio.get_running_loop()
         ready = _ready_queue(loop)
-        pump = _Pump(self, loop, ready)
+        self._claim()
         try:
-            value = await _step_through(awaitable, pump.on_suspend, ready)
-        except BaseException as exc:
-            await pump.finish(settle=isinstance(exc, Exception))
-            raise
-        await pump.finish(settle=True)
-        return value
+            pump = _Pump(self, loop, ready)
+            try:
+                value = await _step_through(awaitable, pump.on_suspend, ready)
+            except BaseException as exc:
+                await pump.finish(settle=isinstance(exc, Exception))
+                raise
+            await pump.finish(settle=True)
+            return value
+        finally:
+            self._driving = False
 
 
 class _Pump:
@@ -328,6 +358,8 @@ class _Pump:
         if not settle:
             return
         if self._fired:
+            # The drive's own settle: its claim passes to the advance.
+            self._clock._driving = False
             await self._clock.advance(0.0)
         else:
             await _drain_loop()

@@ -720,3 +720,79 @@ def test_virtual_clock_needs_a_ready_queue():
                 await VirtualClock().advance(1.0)
 
     run(main())
+
+
+def test_a_second_driver_is_refused_while_a_drive_runs():
+    """Two drivers of one clock would each yield to the other forever;
+    the second to start raises instead, and the first still finishes."""
+
+    async def main():
+        clock = VirtualClock()
+
+        async def work():
+            await clock.sleep(5.0)
+            return clock.now()
+
+        driving = asyncio.ensure_future(clock.drive(work()))
+        await asyncio.sleep(0)  # the drive starts and waits on its sleep
+        with pytest.raises(RuntimeError, match="in progress"):
+            await clock.advance(10.0)
+        with pytest.raises(RuntimeError, match="in progress"):
+            await clock.run_until(0.0)
+        refused = work()
+        with pytest.raises(RuntimeError, match="in progress"):
+            await clock.drive(refused)
+        refused.close()
+        assert await driving == 5.0
+        await clock.advance(1.0)  # the clock is free again
+        assert clock.now() == 6.0
+
+    run_guarded(main())
+
+
+def test_a_drive_is_refused_while_an_advance_runs():
+    async def main():
+        clock = VirtualClock()
+        woke = []
+
+        async def sleeper():
+            await clock.sleep(4.0)
+            woke.append(clock.now())
+
+        sleeping = asyncio.ensure_future(sleeper())
+        advancing = asyncio.ensure_future(clock.advance(10.0))
+        await asyncio.sleep(0)  # the advance starts and drains the loop
+        refused = sleeper()
+        with pytest.raises(RuntimeError, match="in progress"):
+            await clock.drive(refused)
+        refused.close()
+        await advancing
+        await sleeping
+        assert woke == [4.0] and clock.now() == 10.0
+
+    run_guarded(main())
+
+
+def test_a_driver_nested_in_a_driven_awaitable_is_refused():
+    async def main():
+        clock = VirtualClock()
+
+        async def inner():
+            await clock.sleep(1.0)
+
+        async def outer():
+            await clock.sleep(2.0)
+            nested = inner()
+            with pytest.raises(RuntimeError, match="in progress"):
+                await clock.drive(nested)
+            nested.close()
+            with pytest.raises(RuntimeError, match="in progress"):
+                await clock.advance(1.0)
+            await clock.sleep(1.0)
+            return clock.now()
+
+        assert await clock.drive(outer()) == 3.0
+        await clock.run_until(5.0)  # the clock is free again
+        assert clock.now() == 5.0
+
+    run_guarded(main())
