@@ -29,7 +29,7 @@ from ..net import Message, MessageKind, SERVER_ID
 from ..reports.sizes import checking_upload_bits, nack_upload_bits, tlb_upload_bits
 from ..schemes.session import ClientSession, SessionOutcome
 from . import metrics as m
-from .energy import ENERGY_RX, ENERGY_TX
+from .energy import ENERGY_RX
 
 # Hot-branch kind constants: skip the enum attribute lookups in the
 # per-delivery dispatch below.
@@ -101,11 +101,9 @@ class MobileClient:
         self._m_cache_misses = bind(m.CACHE_MISSES)
         self._m_stale_hits = bind(m.STALE_HITS)
         self._m_disconnections = bind(m.DISCONNECTIONS)
-        self._m_energy_tx = bind(ENERGY_TX)
         self._m_energy_rx = bind(ENERGY_RX)
         self._m_latency_hist = metrics.bind_histogram(m.QUERY_LATENCY, base=0.1)
-        # Per-bit energy costs hoisted out of the per-message charge path.
-        self._tx_nj_per_bit = params.energy.tx_nj_per_bit
+        # Per-bit receive cost hoisted out of the per-message charge path.
         self._rx_nj_per_bit = params.energy.rx_nj_per_bit
 
         self._think_stream = streams.stream(f"client-{client_id}/think")
@@ -178,8 +176,8 @@ class MobileClient:
     # -- uplink for the session ------------------------------------------------
 
     def _upload(self, kind: MessageKind, size_bits: float, payload):
-        """Charge the radio and send one message to the server."""
-        self._m_energy_tx.add(self._tx_nj_per_bit * size_bits)
+        """Send one message to the server (its radio energy is derived
+        from the uplinks' bit ledgers at the end of the run)."""
         self.cell.uplink.send(
             Message(
                 kind=kind,

@@ -17,6 +17,11 @@ A client is charged
   reports it listens to while awake, validity replies addressed to it,
   and data items it requested.  (With selective tuning a client dozes
   through other clients' data transfers, so those are not charged.)
+
+The transmit total is derived once, when the run ends, from the
+uplinks' per-kind bit ledgers (every upload rides an uplink); the
+receive total is charged per client as it decodes, since which clients
+hear a broadcast is known only then.
 """
 
 from __future__ import annotations
