@@ -1,15 +1,15 @@
 """Microbenchmarks of the discrete-event kernel.
 
 The whole evaluation rides on this substrate; these benches make kernel
-performance regressions visible (events/second, store handoffs, channel
-transmissions, broadcast fan-out).
+performance regressions visible (events/second, channel transmissions,
+broadcast fan-out).
 
 Run as a script to refresh the persisted baseline::
 
     PYTHONPATH=src python benchmarks/bench_des_kernel.py --out BENCH_kernel.json
 """
 
-from repro.des import Environment, Store
+from repro.des import Environment
 from repro.net import BROADCAST, Channel, Message, MessageKind, SERVER_ID
 
 
@@ -46,29 +46,6 @@ def pump_sleep_fast_lane(n_events: int):
 def test_sleep_fast_lane_throughput(benchmark):
     result = benchmark(pump_sleep_fast_lane, 20_000)
     assert result == 20_000
-
-
-def pump_store(n_items: int):
-    env = Environment()
-    store = Store(env)
-    moved = []
-
-    def producer(env):
-        for i in range(n_items):
-            yield store.put(i)
-
-    def consumer(env):
-        for _ in range(n_items):
-            moved.append((yield store.get()))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    return len(moved)
-
-
-def test_store_handoff_throughput(benchmark):
-    assert benchmark(pump_store, 5_000) == 5_000
 
 
 def pump_channel(n_messages: int):
@@ -164,7 +141,6 @@ def test_full_cell_simulation(benchmark):
 KERNEL_BENCHES = {
     "timeout_events": (pump_timeouts, 20_000, 20_000, 20_000),
     "sleep_fast_lane_events": (pump_sleep_fast_lane, 20_000, 20_000, 20_000),
-    "store_handoffs": (pump_store, 5_000, 5_000, 5_000),
     "channel_messages": (pump_channel, 5_000, 5_000, 5_000),
     "broadcast_100rx_deliveries": (pump_broadcast, 1_000, 50_000, 50_000),
 }

@@ -2,8 +2,7 @@
 
 A from-scratch replacement for the CSIM package the paper used: coroutine
 processes, an event heap with deterministic (time, priority, FIFO)
-ordering, waitable stores, named random streams, and statistics
-monitors.
+ordering, named random streams, and statistics monitors.
 
 Quick example::
 
@@ -20,11 +19,10 @@ Quick example::
 """
 
 from .environment import Environment, Infinity
-from .errors import EmptySchedule, Interrupt, SimulationError, StopSimulation
+from .errors import EmptySchedule, SimulationError, StopSimulation
 from .event import AnyOf, Event, HIGH, LOW, NORMAL, Timeout, URGENT
 from .monitor import Counter, Histogram, MetricSet, Tally, TimeWeighted
 from .process import Process
-from .queues import PriorityItem, PriorityStore, Store
 from .rng import RandomStream, RandomStreams
 from .trace import TraceRecord, TraceRecorder
 
@@ -37,18 +35,14 @@ __all__ = [
     "Histogram",
     "HIGH",
     "Infinity",
-    "Interrupt",
     "LOW",
     "MetricSet",
     "NORMAL",
-    "PriorityItem",
-    "PriorityStore",
     "Process",
     "RandomStream",
     "RandomStreams",
     "SimulationError",
     "StopSimulation",
-    "Store",
     "Tally",
     "TraceRecord",
     "TraceRecorder",

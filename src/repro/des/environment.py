@@ -119,13 +119,6 @@ class Environment:
 
     # -- scheduling & run loop ----------------------------------------------
 
-    def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        """Put a triggered *event* onto the heap *delay* seconds from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self._eid = eid = self._eid + 1
-        heapq.heappush(self._heap, (self._now + delay, priority, eid, event))
-
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
         return self._heap[0][0] if self._heap else Infinity
@@ -139,20 +132,19 @@ class Environment:
             If no events remain.
         """
         try:
-            when, _prio, eid, event = heapq.heappop(self._heap)
+            when, _prio, _eid, event = heapq.heappop(self._heap)
         except IndexError:
             raise EmptySchedule("no scheduled events remain") from None
         self._now = when
-        self._dispatch(when, eid, event)
+        self._dispatch(when, event)
 
-    def _dispatch(self, when: float, eid: int, event: Any) -> None:
+    def _dispatch(self, when: float, event: Any) -> None:
         """Process one popped entry — the single-event twin of the run
         loop's inlined dispatch (keep the two in lockstep)."""
         if type(event) is _Wakeup:
-            if event.eid == eid:  # stale (interrupted) wakes are skipped
-                if self._tracer is not None:
-                    self._tracer(when, event)
-                event.proc._resume(event)
+            if self._tracer is not None:
+                self._tracer(when, event)
+            event.proc._resume(event)
             return
         if self._tracer is not None:
             self._tracer(when, event)
@@ -217,13 +209,12 @@ class Environment:
                 if bounded and heap[0][0] > stop_at:
                     self._now = stop_at
                     return None
-                when, _prio, eid, event = pop(heap)
+                when, _prio, _eid, event = pop(heap)
                 self._now = when
                 if event.__class__ is wakeup_cls:
-                    if event.eid == eid:  # stale (interrupted) wakes skip
-                        if tracer is not None:
-                            tracer(when, event)
-                        event.proc._resume(event)
+                    if tracer is not None:
+                        tracer(when, event)
+                    event.proc._resume(event)
                     continue
                 if tracer is not None:
                     tracer(when, event)

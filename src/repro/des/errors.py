@@ -23,17 +23,3 @@ class StopSimulation(Exception):
     def __init__(self, value: Any = None) -> None:
         super().__init__(value)
         self.value = value
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The interrupted process receives this exception at its current ``yield``
-    statement.  ``cause`` carries the (arbitrary) object passed to
-    :meth:`Process.interrupt`.
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0]

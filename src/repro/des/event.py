@@ -26,9 +26,11 @@ if TYPE_CHECKING:
     from .process import Process
 
 # Scheduling priorities.  Lower values are popped first among events that
-# share a timestamp.  URGENT is used for interrupts and kernel-internal
-# wake-ups, HIGH for model events that must precede normal activity in the
-# same instant (e.g. database updates commit before a report is built).
+# share a timestamp.  URGENT is used for kernel-internal wake-ups (a
+# process's kick-off and its end) and a channel's start-up and
+# preemptions, HIGH for model events that must precede normal activity in
+# the same instant (e.g. database updates commit before a report is
+# built).
 URGENT = 0
 HIGH = 1
 NORMAL = 5
@@ -130,10 +132,6 @@ class Event:
         heappush(env._heap, (env._now, priority, eid, self))
         return self
 
-    def _mark_processed(self) -> None:
-        self._processed = True
-        self.callbacks = None
-
 
 class Timeout(Event):
     """An event that fires after a fixed simulated delay.
@@ -180,17 +178,14 @@ class _Wakeup:
     process, which the run loop resumes directly.
 
     Each process owns exactly *one* token, allocated with the process
-    and re-armed per sleep by stamping ``eid`` with the sleep's heap
-    insertion id: a process sleeps at most once at a time, and eids are
-    never reused, so a popped heap entry resumes the process iff its eid
-    still matches the token's.  An interrupt cancels the pending sleep
-    by resetting ``eid`` to 0 (no entry ever carries eid 0), which
-    leaves the stale heap entry to be skipped on pop.  The class-level
-    attributes let the token duck-type as a processed, successful event
-    for tracers and for :meth:`Process._resume`.
+    and pushed once per sleep: a process sleeps at most once at a time
+    and nothing cancels a sleep, so every popped token resumes its
+    process.  The class-level attributes let the token duck-type as a
+    processed, successful event for tracers and for
+    :meth:`Process._resume`.
     """
 
-    __slots__ = ("proc", "eid")
+    __slots__ = ("proc",)
 
     ok = True
     processed = True
@@ -202,7 +197,6 @@ class _Wakeup:
 
     def __init__(self, proc: Process) -> None:
         self.proc = proc
-        self.eid = 0
 
     def __repr__(self) -> str:
         return f"<_Wakeup for {self.proc!r}>"

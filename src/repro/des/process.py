@@ -16,9 +16,8 @@ the straightforward implementation (kernel golden tests).
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
-from .errors import Interrupt
 from .event import Event, NORMAL, PENDING, Timeout, URGENT, _Wakeup
 
 if TYPE_CHECKING:
@@ -49,7 +48,7 @@ class Process(Event):
     may therefore ``yield proc`` to join on it.
     """
 
-    __slots__ = ("_generator", "_send", "_target", "_wake", "_cb", "name")
+    __slots__ = ("_generator", "_send", "_wake", "_cb", "name")
 
     def __init__(
         self,
@@ -69,20 +68,14 @@ class Process(Event):
         self._proc = None
         self._generator = generator
         self._send: Callable[[Any], Any] = generator.send
-        #: The event this process is currently waiting on (None when running
-        #: or finished).
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         self._cb: Callable[[Any], None] = self._resume
         #: The process's reusable sleep token (also used for kick-off).
         self._wake = wake = _Wakeup(self)
         # Kick the process off at the current time: the first resume sends
         # None into the generator, which is exactly what the wake token
-        # delivers — no throwaway init Event needed.  ``_target`` stays
-        # None until the first yield, so interrupting an unstarted process
-        # still reports "not suspended".
+        # delivers — no throwaway init Event needed.
         env._eid = eid = env._eid + 1
-        wake.eid = eid
         heappush(env._heap, (env._now, URGENT, eid, wake))
 
     def __repr__(self) -> str:
@@ -92,42 +85,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return self._value is PENDING
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event the process is currently suspended on, if any."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield.
-
-        The process stops waiting for its current target (the target event
-        itself is unaffected and may fire later, unobserved).  Interrupting
-        a dead process raises ``RuntimeError``.
-        """
-        if not self.is_alive:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        if self._target is None:
-            raise RuntimeError(f"{self!r} is not suspended; cannot interrupt")
-        # Detach from the current target so its eventual processing does not
-        # resume us a second time.
-        # _target may hold the fast-lane _Wakeup token standing in for an
-        # Event; treat it opaquely here so the narrow checks stay honest.
-        target: Any = self._target
-        if type(target) is _Wakeup:
-            # Fast-lane sleep: disarm the token; the stale heap entry is
-            # skipped on pop (its eid no longer matches).
-            target.eid = 0
-        elif target._proc is self:
-            target._proc = None
-        elif target.callbacks is not None and self._cb in target.callbacks:
-            target.callbacks.remove(self._cb)
-        self._target = None
-        wakeup = Event(self.env)
-        wakeup._ok = False
-        wakeup._value = Interrupt(cause)
-        wakeup._proc = self
-        self.env.schedule(wakeup, priority=URGENT)
 
     # -- kernel plumbing ---------------------------------------------------
 
@@ -139,7 +96,6 @@ class Process(Event):
         surface is touched, hence the ``Any``.
         """
         env = self.env
-        self._target = None
         send = self._send
         while True:
             try:
@@ -168,7 +124,6 @@ class Process(Event):
                     and not next_target.callbacks
                 ):
                     next_target._proc = self
-                    self._target = next_target
                     return
             if cls is not float and cls is not int:
                 if isinstance(next_target, Event):
@@ -188,7 +143,6 @@ class Process(Event):
                         next_target._proc = self
                     else:
                         next_target.callbacks.append(self._cb)  # type: ignore[union-attr]
-                    self._target = next_target
                     return
                 if isinstance(next_target, (float, int)):
                     # numpy floating scalars subclass float; normalise.
@@ -200,16 +154,12 @@ class Process(Event):
                     return
             # Timeout fast lane: a bare number of seconds sleeps without
             # allocating anything but the heap entry — the process's own
-            # wake token is re-armed with this sleep's eid, and the run
-            # loop resumes the process directly (same (time, priority,
-            # eid) ordering as env.timeout at NORMAL priority).
+            # wake token goes on the heap, and the run loop resumes the
+            # process directly (same (time, priority, eid) ordering as
+            # env.timeout at NORMAL priority).
             if next_target < 0:
                 event = _Failure(ValueError(f"negative delay {next_target}"))
                 continue
             env._eid = eid = env._eid + 1
-            wake = self._wake
-            wake.eid = eid
-            # The wake token ducks as the target event (see _Wakeup).
-            self._target = wake  # type: ignore[assignment]
-            heappush(env._heap, (env._now + next_target, NORMAL, eid, wake))
+            heappush(env._heap, (env._now + next_target, NORMAL, eid, self._wake))
             return

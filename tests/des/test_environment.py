@@ -123,8 +123,6 @@ def test_negative_delay_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         env.timeout(-1)
-    with pytest.raises(ValueError):
-        env.schedule(env.event(), delay=-0.5)
 
 
 def test_unhandled_process_exception_propagates_from_run():

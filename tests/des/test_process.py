@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, Interrupt
+from repro.des import Environment
 
 
 @pytest.fixture
@@ -116,94 +116,3 @@ class TestBasics:
         result = env.run(until=env.process(root(env)))
         assert result == 60
         assert order == [3, 1, 2]  # sequential joins
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, env):
-        causes = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt as exc:
-                causes.append((exc.cause, env.now))
-
-        p = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(4)
-            p.interrupt("wake up")
-
-        env.process(interrupter(env))
-        env.run()
-        assert causes == [("wake up", 4)]
-
-    def test_interrupted_process_can_continue(self, env):
-        trace = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                pass
-            yield env.timeout(1)
-            trace.append(env.now)
-
-        p = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(10)
-            p.interrupt()
-
-        env.process(interrupter(env))
-        env.run()
-        assert trace == [11]
-
-    def test_interrupt_detaches_from_target(self, env):
-        """The original target firing later must not resume the process twice."""
-        resumed = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(5)
-                resumed.append("timeout")
-            except Interrupt:
-                resumed.append("interrupt")
-            yield env.timeout(20)
-            resumed.append("after")
-
-        p = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(1)
-            p.interrupt()
-
-        env.process(interrupter(env))
-        env.run()
-        assert resumed == ["interrupt", "after"]
-
-    def test_interrupt_dead_process_raises(self, env):
-        def quick(env):
-            yield env.timeout(1)
-
-        p = env.process(quick(env))
-        env.run()
-        with pytest.raises(RuntimeError):
-            p.interrupt()
-
-    def test_unhandled_interrupt_fails_process(self, env):
-        def sleeper(env):
-            yield env.timeout(100)
-
-        p = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(1)
-            p.interrupt("boom")
-
-        env.process(interrupter(env))
-        with pytest.raises(Interrupt):
-            env.run()
-
-    def test_interrupt_cause_accessor(self):
-        assert Interrupt("why").cause == "why"

@@ -30,8 +30,8 @@ def msg(kind, size, dest=BROADCAST, payload=None):
 class TestTransmissionTiming:
     def test_single_message_takes_size_over_bandwidth(self, env):
         ch = Channel(env, bandwidth_bps=1000)
-        done = ch.send(msg(MessageKind.DATA_ITEM, 500))
-        env.run(until=done)
+        ch.send(msg(MessageKind.DATA_ITEM, 500))
+        env.run()
         assert env.now == pytest.approx(0.5)
 
     def test_back_to_back_messages_serialize(self, env):
@@ -45,8 +45,8 @@ class TestTransmissionTiming:
 
     def test_zero_size_message_delivers_instantly(self, env):
         ch = Channel(env, bandwidth_bps=10)
-        done = ch.send(msg(MessageKind.TLB_UPLOAD, 0))
-        env.run(until=done)
+        ch.send(msg(MessageKind.TLB_UPLOAD, 0))
+        env.run()
         assert env.now == 0.0
 
     def test_invalid_bandwidth(self, env):
@@ -229,14 +229,6 @@ class TestDelivery:
         env.run()
         assert seen == [("joiner", "a"), ("late", "b")]
 
-    def test_done_event_carries_message(self, env):
-        ch = Channel(env, bandwidth_bps=100)
-        m = msg(MessageKind.DATA_ITEM, 100, payload="x")
-        done = ch.send(m)
-        result = env.run(until=done)
-        assert result is m
-        assert env.now == pytest.approx(1.0)
-
     def test_resending_in_flight_message_raises(self, env):
         """Regression: re-sending the same object while it is queued or on
         the air silently leaked the first done-event; now it is an error."""
@@ -249,9 +241,10 @@ class TestDelivery:
     def test_resending_after_delivery_is_allowed(self, env):
         ch = Channel(env, bandwidth_bps=100)
         m = msg(MessageKind.DATA_ITEM, 100, payload="x")
-        env.run(until=ch.send(m))
-        done = ch.send(m)  # a fresh transmission of the same object
-        env.run(until=done)
+        ch.send(m)
+        env.run()
+        ch.send(m)  # a fresh transmission of the same object
+        env.run()
         assert env.now == pytest.approx(2.0)
 
 

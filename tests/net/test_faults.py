@@ -158,14 +158,14 @@ class TestChannelIntegration:
     def env(self):
         return Environment()
 
-    def test_dropped_delivery_skips_receiver_but_fires_done(self, env):
+    def test_dropped_delivery_skips_receiver_but_burns_airtime(self, env):
         ch = Channel(
             env, 100, faults=FaultModel(FaultConfig(drop_prob=1.0), stream())
         )
         seen = []
         ch.attach(lambda m, now: seen.append(m))
-        done = ch.send(msg(size=100))
-        env.run(until=done)
+        ch.send(msg(size=100))
+        env.run()
         assert seen == []
         assert ch.faults.stats.dropped == 1
         # Airtime was still burned: raw channel stats count the bits.
@@ -178,7 +178,8 @@ class TestChannelIntegration:
         radio, wired = [], []
         ch.attach(lambda m, now: radio.append(m))
         ch.attach(lambda m, now: wired.append(m), wired=True)
-        env.run(until=ch.send(msg(size=100)))
+        ch.send(msg(size=100))
+        env.run()
         assert radio == []
         assert len(wired) == 1
 
@@ -189,7 +190,8 @@ class TestChannelIntegration:
         seen = []
         ch.attach(lambda m, now: seen.append(m))
         original = msg(size=100, payload="p")
-        env.run(until=ch.send(original))
+        ch.send(original)
+        env.run()
         assert len(seen) == 1
         assert seen[0].corrupted
         assert seen[0] is not original
@@ -200,7 +202,8 @@ class TestChannelIntegration:
         ch = Channel(env, 100, faults=FaultModel(FaultConfig(), _ExplodingStream()))
         seen = []
         ch.attach(lambda m, now: seen.append(m.payload))
-        env.run(until=ch.send(msg(size=100, payload="x")))
+        ch.send(msg(size=100, payload="x"))
+        env.run()
         assert seen == ["x"]
 
 
@@ -348,7 +351,8 @@ class TestBlockDrawsMatchTheReference:
         ch.attach(lambda m, now: wired.append(m), wired=True)
         ch.attach(radio)
         ch.set_listening(radio, False)
-        env.run(until=ch.send(msg(size=100)))
+        ch.send(msg(size=100))
+        env.run()
         assert len(wired) == 1 and dozing == []
         assert model.stats.judged == 0
 
@@ -401,6 +405,7 @@ class TestChannelDispatchMatchesTheReference:
                 fate = Fate.DELIVER if wired else ref.fate(message, key)
                 if fate is not Fate.DROP:
                     want[key].append((n, fate is Fate.CORRUPT))
-            env.run(until=ch.send(message))
+            ch.send(message)
+            env.run()
         assert got == want
         assert_same_stats(ch.faults.stats, ref.stats)
