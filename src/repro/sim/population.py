@@ -27,11 +27,12 @@ client: a cache consistent with its stratum is rebuilt
 version = the item's version at ``Tlb``, timestamp = ``Tlb``), and the
 ordinary reconnect machinery then feeds the correct uplink-checking and
 salvage load into the server/scheme layer (``send_tlb`` /
-``send_check_request`` at the next report).  With
-``tlb_bucket_intervals = 1`` the bucketing is lossless (``Tlb`` values
-are report times ``i * L``); wider buckets floor ``Tlb`` — strictly
-conservative: a client claiming older knowledge can only over-invalidate
-or over-salvage, never answer stale.
+``send_check_request`` at the next report).  A ``Tlb`` bucket is one
+broadcast interval ``L`` wide, so the bucketing is lossless: every
+heard ``Tlb`` is a report time ``i * L``, and the floor only ever moves
+a value off that grid down, which is conservative (a client claiming
+older knowledge can only over-invalidate or over-salvage, never answer
+stale).
 
 ``SystemParams.aggregation = None`` (the default) disables the whole
 layer and is bit-identical to the seed (pinned by the golden tests);
@@ -74,11 +75,6 @@ class AggregationConfig:
         Only dozes at least this many broadcast intervals long are
         absorbed; shorter naps stay exact (absorbing them would buy no
         memory and cost reconstruction accuracy).
-    tlb_bucket_intervals:
-        Width of a ``Tlb`` stratum bucket in broadcast intervals.  1 is
-        lossless (reports broadcast at ``i * L``, so every ``Tlb`` is a
-        bucket boundary); wider buckets floor a member's ``Tlb`` on
-        promotion, which is conservative (over-invalidation only).
     start_in_pool:
         Fraction of the eligible (id >= ``k_exact``) population that
         *starts* parked in the pool instead of being constructed — the
@@ -89,7 +85,6 @@ class AggregationConfig:
 
     k_exact: int = 0
     min_doze_intervals: float = 2.0
-    tlb_bucket_intervals: int = 1
     start_in_pool: float = 0.0
 
     def __post_init__(self) -> None:
@@ -97,11 +92,6 @@ class AggregationConfig:
             raise ValueError("k_exact must be >= 0")
         if self.min_doze_intervals <= 0:
             raise ValueError("min_doze_intervals must be positive")
-        if self.tlb_bucket_intervals < 1:
-            raise ValueError(
-                "tlb_bucket_intervals must be >= 1 (zero-width buckets "
-                "would make every stratum empty)"
-            )
         if not 0.0 <= self.start_in_pool <= 1.0:
             raise ValueError("start_in_pool must be in [0, 1]")
 
@@ -393,7 +383,7 @@ class PopulationPool:
         self._promote = promote
         self._release = release
         interval = params.broadcast_interval
-        self._bucket_seconds = self.config.tlb_bucket_intervals * interval
+        self._bucket_seconds = interval
         self._min_doze_seconds = self.config.min_doze_intervals * interval
         self._m_absorbed = metrics.bind_counter(m.POOL_ABSORBED)
         self._m_promoted = metrics.bind_counter(m.POOL_PROMOTED)
@@ -402,7 +392,8 @@ class PopulationPool:
     # -- stratum arithmetic -------------------------------------------------
 
     def tlb_bucket(self, tlb: float) -> int:
-        """Quantize a ``Tlb`` into its stratum bucket (floor)."""
+        """Quantize a ``Tlb`` into its stratum bucket: ``Tlb`` floored to
+        one broadcast interval."""
         if tlb <= 0.0:
             return 0
         return int(tlb // self._bucket_seconds)

@@ -199,7 +199,6 @@ def test_signature_survives_absorb_promote_cycle():
         dict(k_exact=-1),
         dict(min_doze_intervals=0.0),
         dict(min_doze_intervals=-2.0),
-        dict(tlb_bucket_intervals=0),
         dict(start_in_pool=-0.1),
         dict(start_in_pool=1.5),
     ],
