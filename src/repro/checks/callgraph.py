@@ -64,16 +64,6 @@ def dotted_name(node: ast.expr) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
-def module_dotted(package_path: str) -> str:
-    """``repro/service/node.py`` -> ``repro.service.node``."""
-    path = package_path
-    if path.endswith("/__init__.py"):
-        path = path[: -len("/__init__.py")]
-    elif path.endswith(".py"):
-        path = path[:-3]
-    return path.replace("/", ".")
-
-
 def _path_candidates(dotted: str) -> Tuple[str, str]:
     """Module and package file paths a dotted module name may live at."""
     base = dotted.replace(".", "/")

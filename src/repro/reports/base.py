@@ -122,17 +122,6 @@ class Report:
     #: neighbor's epoch counter for a restart of its old cell.
     cell: int = 0
 
-    @property
-    def dedup_key(self) -> float:
-        """Identity of the broadcast this report belongs to.
-
-        Reports are broadcast at unique instants (one per interval), so
-        the timestamp identifies the logical report across repetition-
-        coded copies; clients discard a copy whose key they already
-        applied.
-        """
-        return self.timestamp
-
     def covers(self, tlb: float) -> bool:
         """Whether a client that last heard a report at *tlb* can use this
         report alone to invalidate precisely."""

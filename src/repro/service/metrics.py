@@ -11,7 +11,7 @@ across repeat runs of the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 __all__ = ["HealthReport", "NodeMetrics", "Transition"]
 
@@ -25,9 +25,6 @@ class Transition:
     old: str
     new: str
     reason: str = ""
-
-    def as_tuple(self) -> Tuple[float, str, str, str, str]:
-        return (self.at, self.subject, self.old, self.new, self.reason)
 
 
 class NodeMetrics:
@@ -63,10 +60,6 @@ class NodeMetrics:
     @property
     def mean_age(self) -> float:
         return self._age_sum / self._age_count if self._age_count else 0.0
-
-    @property
-    def max_age(self) -> float:
-        return self._age_max
 
     def snapshot(self) -> Dict[str, float]:
         """Sorted counters + age stats, ready for JSON."""
