@@ -19,7 +19,7 @@ who imported what first.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from ..engine import Finding, Project, Rule, Severity, register_rule
 

@@ -16,7 +16,7 @@ perturb any other component's draws.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from ..des import Environment
 
