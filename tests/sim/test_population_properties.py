@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import ClientCache
 from repro.des.rng import RandomStreams
 from repro.sim import AggregationConfig, SystemParams
 from repro.sim.model import SimulationModel
@@ -169,25 +170,46 @@ def test_warm_signature_matches_warm_fill(db_size, capacity):
         assert predicted == (n_hot, len(items) - n_hot)
 
 
+#: A 40-client cell that starts in the pool and churns through it.
+CHURNING_POOL = SystemParams(
+    simulation_time=2000.0,
+    n_clients=40,
+    db_size=200,
+    buffer_fraction=0.05,
+    think_time_mean=40.0,
+    update_interarrival_mean=80.0,
+    disconnect_prob=0.5,
+    disconnect_time_mean=300.0,
+    seed=5,
+    aggregation=AggregationConfig(k_exact=0),
+)
+
+
 def test_signature_survives_absorb_promote_cycle():
     """End-to-end: members promoted out of a real run carry caches whose
     signature the differential campaign relies on (no empty caches when
     warm strata exist, no hot items under a flat pattern)."""
-    params = SystemParams(
-        simulation_time=2000.0,
-        n_clients=40,
-        db_size=200,
-        buffer_fraction=0.05,
-        think_time_mean=40.0,
-        update_interarrival_mean=80.0,
-        disconnect_prob=0.5,
-        disconnect_time_mean=300.0,
-        seed=5,
-        aggregation=AggregationConfig(k_exact=0),
-    )
-    result = run_simulation(params, HOTCOLD, "ts")
+    result = run_simulation(CHURNING_POOL, HOTCOLD, "ts")
     assert result.counter("pool.promoted") > 0
     assert result.raw["oracle.liveness_ok"] == 1.0
+
+
+def test_a_promotion_builds_one_cache(monkeypatch):
+    """A promoted client resumes on the cache the pool rebuilt for it:
+    the run builds one ClientCache per promotion and throws none away."""
+    model = SimulationModel(CHURNING_POOL, HOTCOLD, "ts")
+    built = [0]
+    init = ClientCache.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClientCache, "__init__", counting_init)
+    model.run()
+    promoted = model.metrics.counter("pool.promoted").value
+    assert promoted > 0
+    assert built[0] == promoted
 
 
 # -- validation ------------------------------------------------------------
