@@ -44,12 +44,10 @@ class Database:
         self.total_updates = 0
         # item -> last update time; most recently updated item is LAST.
         self._recency: "OrderedDict[int, float]" = OrderedDict()
-        # Single-slot memos for the per-broadcast-tick recency scans
-        # (keyed by total_updates, so any update invalidates them).  At
-        # the paper's update rates most ticks repeat the previous tick's
+        # Single-slot memo for the per-broadcast-tick recency_order scan
+        # (keyed by total_updates, so any update invalidates it).  At the
+        # paper's update rates most BS ticks repeat the previous tick's
         # query verbatim — see docs/PERFORMANCE.md.
-        self._updated_since_key: Tuple[int, float] | None = None
-        self._updated_since_result: List[Tuple[int, float]] = []
         self._recency_order_key: Tuple[int, int | None] | None = None
         self._recency_order_result: List[Tuple[int, float]] = []
 
@@ -83,11 +81,9 @@ class Database:
         self.origin_time = now
         self.last_update.fill(NEVER)
         self._recency.clear()
-        self._clear_memos()
+        self._clear_memo()
 
-    def _clear_memos(self):
-        self._updated_since_key = None
-        self._updated_since_result = []
+    def _clear_memo(self):
         self._recency_order_key = None
         self._recency_order_result = []
 
@@ -137,7 +133,7 @@ class Database:
             self.last_update[item] = ts
             self._recency[item] = ts
         self.total_updates += 1
-        self._clear_memos()
+        self._clear_memo()
         return changed
 
     def backfill_history(self, pairs, floor: float):
@@ -163,7 +159,7 @@ class Database:
                 self.last_update[item] = ts
         if floor < self.origin_time:
             self.origin_time = floor
-        self._clear_memos()
+        self._clear_memo()
 
     def read(self, item: int) -> Tuple[int, float]:
         """Return ``(version, last_update_time)`` of *item*."""
@@ -179,25 +175,20 @@ class Database:
         """Items whose latest update is strictly after *cutoff*.
 
         Returned most-recent-first as ``(item, timestamp)`` pairs; cost is
-        O(result size), O(1) when repeating the previous query against an
-        unchanged database.  Callers must treat the list as immutable.
+        O(result size).
         """
-        key = (self.total_updates, cutoff)
-        if key == self._updated_since_key:
-            return self._updated_since_result
         out: List[Tuple[int, float]] = []
         for item, ts in reversed(self._recency.items()):
             if ts <= cutoff:
                 break
             out.append((item, ts))
-        self._updated_since_key = key
-        self._updated_since_result = out
         return out
 
     def recency_order(self, limit: int | None = None) -> List[Tuple[int, float]]:
         """Up to *limit* most-recently-updated items, most recent first.
 
-        Memoized like :meth:`updated_since`; treat the list as immutable.
+        Memoized against an unchanged database; treat the list as
+        immutable.
         """
         key = (self.total_updates, limit)
         if key == self._recency_order_key:

@@ -32,7 +32,6 @@ from .sizes import (
 from .window import (
     EnlargedWindowReport,
     WindowReport,
-    WindowReportCache,
     build_enlarged_window_report,
     build_window_report,
     enlarged_report_size,
@@ -52,7 +51,6 @@ __all__ = [
     "SignatureScheme",
     "UpdateLog",
     "WindowReport",
-    "WindowReportCache",
     "amnesic_report_bits",
     "bitseq_report_bits",
     "build_amnesic_report",

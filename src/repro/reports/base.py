@@ -28,7 +28,6 @@ class UpdateLog(Protocol):
 
     n_items: int
     origin_time: float
-    total_updates: int
     #: Per-item version counters (a numpy int array on the real database;
     #: ``Any`` keeps the protocol free of a numpy type dependency).
     version: Any

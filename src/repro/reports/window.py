@@ -149,62 +149,15 @@ class EnlargedWindowReport(WindowReport):
         )
 
 
-class WindowReportCache:
-    """Memoizes the ``{item: ts}`` scan behind consecutive ``IR(w)``.
-
-    At the paper's update rates most broadcast ticks see no new update:
-    the item dict behind the report is then the previous tick's, minus
-    any items that slid out of the back of the window.  The cached dict
-    is reused when, against ``db.total_updates``:
-
-    * no update has been committed since the cached scan, and
-    * the window only slid forward (``new start >= cached start``), and
-    * no cached item has expired (oldest cached ts > new start).
-
-    A widened window (loss-adaptive) or an expiring item rebuilds.  The
-    dict is shared, never handed out: :class:`WindowReport` copies it.
-    """
-
-    def __init__(self, db: UpdateLog) -> None:
-        self.db = db
-        self._total_updates = -1
-        self._window_start = 0.0
-        self._oldest_ts = 0.0
-        self._items: Optional[Dict[int, float]] = None
-        self.hits = 0
-        self.misses = 0
-
-    def items_since(self, window_start: float) -> Dict[int, float]:
-        """The ``{item: latest ts}`` map for ``(window_start, now]``."""
-        cached = self._items
-        if (
-            cached is not None
-            and self.db.total_updates == self._total_updates
-            and window_start >= self._window_start
-            and (not cached or self._oldest_ts > window_start)
-        ):
-            self.hits += 1
-            return cached
-        items = dict(self.db.updated_since(window_start))
-        self._items = items
-        self._total_updates = self.db.total_updates
-        self._window_start = window_start
-        self._oldest_ts = min(items.values()) if items else 0.0
-        self.misses += 1
-        return items
-
-
 def build_window_report(
     db: UpdateLog,
     timestamp: float,
     window_seconds: float,
     timestamp_bits: int = DEFAULT_TIMESTAMP_BITS,
-    cache: Optional[WindowReportCache] = None,
 ) -> WindowReport:
     """Construct ``IR(w)`` from the database recency index.
 
-    *window_seconds* is ``w * L``.  Passing a per-server
-    :class:`WindowReportCache` lets consecutive ticks share the scan.
+    *window_seconds* is ``w * L``.
 
     The window never reaches behind ``db.origin_time``: after a
     crash–recovery the server only witnessed updates since the restart,
@@ -213,14 +166,10 @@ def build_window_report(
     clamp is inert — every client ``Tlb`` is at least the origin.)
     """
     window_start = max(timestamp - window_seconds, db.origin_time)
-    if cache is not None:
-        items = cache.items_since(window_start)
-    else:
-        items = dict(db.updated_since(window_start))
     return WindowReport(
         timestamp=timestamp,
         window_start=window_start,
-        items=items,
+        items=dict(db.updated_since(window_start)),
         n_items=db.n_items,
         timestamp_bits=timestamp_bits,
     )

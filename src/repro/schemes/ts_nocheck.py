@@ -9,7 +9,7 @@ server is the base of every window scheme (checking, GCORE, AFW, AAW).
 
 from __future__ import annotations
 
-from ..reports.window import WindowReportCache, build_window_report
+from ..reports.window import build_window_report
 from .base import ClientPolicy, Scheme, ServerPolicy, effective_window_seconds
 
 
@@ -17,21 +17,13 @@ class TSServerPolicy(ServerPolicy):
     """Broadcasts the fixed-window report every period (widened under
     loss adaptation)."""
 
-    def __init__(self, params, db):
-        super().__init__(params, db)
-        self._report_cache = WindowReportCache(db)
-
     def build_report(self, ctx, now: float):
         return self.window_report(now, effective_window_seconds(ctx, self.params))
 
     def window_report(self, now: float, window_seconds: float):
         """``IR(w)`` reaching *window_seconds* back from *now*."""
         return build_window_report(
-            self.db,
-            now,
-            window_seconds,
-            self.params.timestamp_bits,
-            cache=self._report_cache,
+            self.db, now, window_seconds, self.params.timestamp_bits
         )
 
 
