@@ -19,7 +19,7 @@ Quick example::
 """
 
 from .environment import Environment, Infinity
-from .errors import EmptySchedule, SimulationError, StopSimulation
+from .errors import StopSimulation
 from .event import AnyOf, Event, HIGH, LOW, NORMAL, Timeout, URGENT
 from .monitor import Counter, Histogram, MetricSet, Tally, TimeWeighted
 from .process import Process
@@ -29,7 +29,6 @@ from .trace import TraceRecord, TraceRecorder
 __all__ = [
     "AnyOf",
     "Counter",
-    "EmptySchedule",
     "Environment",
     "Event",
     "Histogram",
@@ -41,7 +40,6 @@ __all__ = [
     "Process",
     "RandomStream",
     "RandomStreams",
-    "SimulationError",
     "StopSimulation",
     "Tally",
     "TraceRecord",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple, Union
 
-from .errors import EmptySchedule, StopSimulation
+from .errors import StopSimulation
 from .event import AnyOf, Event, NORMAL, Timeout, _Wakeup
 from .process import Process
 
@@ -123,48 +123,6 @@ class Environment:
         """Time of the next scheduled event, or +inf if none."""
         return self._heap[0][0] if self._heap else Infinity
 
-    def step(self) -> None:
-        """Process the single next event.
-
-        Raises
-        ------
-        EmptySchedule
-            If no events remain.
-        """
-        try:
-            when, _prio, _eid, event = heapq.heappop(self._heap)
-        except IndexError:
-            raise EmptySchedule("no scheduled events remain") from None
-        self._now = when
-        self._dispatch(when, event)
-
-    def _dispatch(self, when: float, event: Any) -> None:
-        """Process one popped entry — the single-event twin of the run
-        loop's inlined dispatch (keep the two in lockstep)."""
-        if type(event) is _Wakeup:
-            if self._tracer is not None:
-                self._tracer(when, event)
-            event.proc._resume(event)
-            return
-        if self._tracer is not None:
-            self._tracer(when, event)
-        callbacks = event.callbacks
-        event._processed = True
-        event.callbacks = None
-        proc = event._proc
-        if proc is not None:
-            event._proc = None
-            proc._resume(event)
-            for callback in callbacks:
-                callback(event)
-            return
-        for callback in callbacks:
-            callback(event)
-        if event._ok is False and not event._defused and not callbacks:
-            # A failed event nobody waited on: surface the error instead of
-            # silently dropping it.
-            raise event.value
-
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
 
@@ -196,9 +154,7 @@ class Environment:
         # Inlined dispatch loop: heap access, the wakeup fast lane, the
         # single-waiter resume and the processed-marking are hot enough at
         # full scale that method and property indirections measurably cost
-        # (see docs/PERFORMANCE.md); step() stays as the single-event API.
-        # Keep this dispatch body and _dispatch above in lockstep; the
-        # kernel goldens pin them bit-identical.
+        # (see docs/PERFORMANCE.md).
         try:
             heap = self._heap
             pop = heapq.heappop

@@ -5,14 +5,6 @@ from __future__ import annotations
 from typing import Any
 
 
-class SimulationError(Exception):
-    """Base class for errors raised by the simulation kernel itself."""
-
-
-class EmptySchedule(SimulationError):
-    """Raised by :meth:`Environment.step` when no future events remain."""
-
-
 class StopSimulation(Exception):
     """Internal control-flow exception used by ``Environment.run(until=...)``.
 

@@ -4,17 +4,18 @@
 ``(when, priority, eid, payload)`` tuples.  Eids are unique, so
 ``(when, priority, eid)`` is a strict total order and every schedule has
 exactly one correct pop sequence.  This test replays random scripts of
-interleaved schedules and steps and checks each pop against the minimum
-of the pending ``(when, priority, eid)`` keys, a model that knows
-nothing of the kernel's internals.  Nothing cancels a scheduled entry:
-every popped entry is dispatched.
+interleaved schedules and pops.  A pop runs the kernel up to the event
+holding the minimum of the pending ``(when, priority, eid)`` keys (a
+model that knows nothing of the kernel's internals) with
+``run(until=event)`` and checks that exactly that entry fired on the
+way.  Nothing cancels a scheduled entry: every popped entry is
+dispatched.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import EmptySchedule, Environment
+from repro.des import Environment
 
 # Small value pools force (when, prio) collisions so the eid tie-break
 # actually decides orderings instead of almost never firing.
@@ -24,7 +25,7 @@ prios = st.sampled_from([0, 1, 5, 9])
 
 @st.composite
 def schedule_ops(draw):
-    """A mixed script: ``(delay, priority)`` schedules a timeout, None steps."""
+    """A mixed script: ``(delay, priority)`` schedules a timeout, None pops."""
     n = draw(st.integers(min_value=1, max_value=80))
     return [
         (draw(whens), draw(prios)) if draw(st.booleans()) else None
@@ -36,7 +37,7 @@ def schedule_ops(draw):
 @settings(max_examples=200)
 def test_environment_pops_in_sorted_schedule_order(ops):
     env = Environment()
-    pending = []  # reference: (when, priority, eid) of every unpopped entry
+    pending = {}  # reference: (when, priority, eid) -> event, every unpopped entry
     fired = []
 
     def record(event):
@@ -46,19 +47,21 @@ def test_environment_pops_in_sorted_schedule_order(ops):
         if op is not None:
             delay, prio = op
             key = (env.now + delay, prio, env.scheduled_events + 1)
-            env.timeout(delay, value=key, priority=prio).callbacks.append(record)
+            event = env.timeout(delay, value=key, priority=prio)
+            event.callbacks.append(record)
             assert env.scheduled_events == key[2]
-            pending.append(key)
+            pending[key] = event
         elif pending:
             expected = min(pending)
-            pending.remove(expected)
             assert env.peek() == expected[0]
-            env.step()
-            assert fired[-1] == expected
+            popped = len(fired)
+            assert env.run(until=pending.pop(expected)) == expected
+            assert fired[popped:] == [expected]
             assert env.now == expected[0]
         else:
-            with pytest.raises(EmptySchedule):
-                env.step()
+            now = env.now
+            assert env.run() is None  # an empty schedule: nothing to pop
+            assert env.now == now
     popped = len(fired)
     env.run()
     assert fired[popped:] == sorted(pending)
