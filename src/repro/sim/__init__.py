@@ -8,7 +8,6 @@ from .energy import EnergyModel, energy_per_query_nj
 from .params import SystemParams
 from .population import AggregationConfig, PopulationPool, rebuild_cache
 from .querylog import ClientSummary, QueryLog, QueryRecord, jain_index
-from .timeseries import TimeSeries, stationarity_ratio
 from .runner import run_replications, run_schemes, run_simulation
 from .server import Server
 from .workload import (
@@ -36,8 +35,6 @@ __all__ = [
     "QueryRecord",
     "SimulationResult",
     "SystemParams",
-    "TimeSeries",
-    "stationarity_ratio",
     "energy_per_query_nj",
     "jain_index",
     "UNIFORM",

@@ -35,7 +35,6 @@ from .metrics import SimulationResult, finalize
 from .params import SystemParams
 from .propagation import CellCooperator, CellSynchronizer, OriginFeed
 from .querylog import QueryLog
-from .timeseries import TimeSeries
 from .server import Server
 from .workload import Workload
 
@@ -101,14 +100,6 @@ class SimulationModel:
         self.db = Database(params.db_size)
         self.update_log = UpdateLog()
         self.query_log = QueryLog() if params.collect_query_log else None
-        self.timeseries = (
-            {
-                name: TimeSeries(params.broadcast_interval, name=name)
-                for name in ("answered", "hits", "misses")
-            }
-            if params.collect_timeseries
-            else None
-        )
 
         #: Every cell, indexed by cell id.  The gateway's parts are also
         #: the model's ``server``/``downlink``/``uplink``/``ir_channel``.
@@ -339,7 +330,6 @@ class SimulationModel:
             streams=self.streams,
             update_log=self.update_log,
             query_log=self.query_log,
-            timeseries=self.timeseries,
             pool=self.population,
             roam=self._roam_on_wake if self.n_cells > 1 else None,
             resume=resume,

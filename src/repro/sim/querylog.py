@@ -5,12 +5,16 @@ a sleeper that keeps losing its cache pays the re-fetch bill every time
 it wakes.  With ``SystemParams(collect_query_log=True)`` the simulation
 records one :class:`QueryRecord` per answered query, exportable as CSV
 and summarizable per client (including Jain's fairness index over
-per-client service rates).
+per-client service rates).  Aggregates can also hide transients:
+:meth:`QueryLog.per_interval` folds the log into per-interval counts,
+which show whether a run has reached the steady state the paper
+measures or is still warming up.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Union
@@ -88,6 +92,25 @@ class QueryLog:
                 hit_ratio=hits / items if items else 0.0,
             )
         return out
+
+    def per_interval(self, width: float, up_to: float) -> Dict[str, List[int]]:
+        """Answered queries, hits and misses per *width*-second interval.
+
+        Dense over ``[0, up_to)``: one count per interval, zero where
+        nothing was answered.  A query counts, with all its hits and
+        misses, in the interval that holds its answer time.
+        """
+        if width <= 0:
+            raise ValueError("interval width must be positive")
+        n = math.ceil(up_to / width)
+        answered, hits, misses = [0] * n, [0] * n, [0] * n
+        for r in self.records:
+            i = math.floor(r.answered / width)
+            if i < n:
+                answered[i] += 1
+                hits[i] += r.hits
+                misses[i] += r.misses
+        return {"answered": answered, "hits": hits, "misses": misses}
 
     def fairness(self) -> float:
         """Jain index over per-client answered-query counts."""
