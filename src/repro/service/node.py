@@ -37,7 +37,7 @@ from ..schemes.base import Scheme
 from ..schemes.registry import get_scheme
 from ..schemes.session import ClientSession, SessionOutcome
 from .breaker import BreakerConfig, BreakerState, CircuitBreaker
-from .broker import Subscription
+from .broker import DEFAULT_SUBSCRIPTION_DEPTH, Subscription
 from .clock import Clock, with_deadline
 from .degrade import DegradationTracker, NodeState
 from .errors import (
@@ -61,6 +61,14 @@ Materializer = Callable[[FetchResult], Awaitable[object]]
 #: L2 failures the degradation ladder absorbs.
 _L2_FAILURES = (DeadlineExceeded, BackendUnavailable, CircuitOpenError)
 
+#: Reports silent for more than this many broadcast intervals flip the
+#: node to ``DISCONNECTED``.
+LAG_INTERVALS = 2.5
+#: How many broadcast intervals a scheme salvage may stay pending before
+#: the session's validation-timeout path runs (the simulator's watchdog
+#: budget).
+VALIDATION_TIMEOUT_INTERVALS = 2.0
+
 
 @dataclass(frozen=True)
 class NodeConfig:
@@ -73,18 +81,9 @@ class NodeConfig:
     #: Stale-while-revalidate timers; ``None`` disables SWR (entries
     #: then live until IR invalidation or LRU eviction, as in the paper).
     swr: Optional[SWRConfig] = None
-    #: Reports silent for more than this many broadcast intervals flip
-    #: the node to ``DISCONNECTED``.
-    lag_intervals: float = 2.5
     #: Serve flagged stale answers when degraded (False = strict mode:
     #: raise :class:`NodeDegraded` instead).
     serve_stale_when_degraded: bool = True
-    #: Bound on the IR subscription backlog.
-    subscription_depth: int = 8
-    #: How long a scheme salvage may stay pending before the session's
-    #: validation-timeout path runs (seconds; default 2 intervals is the
-    #: simulator's watchdog budget).
-    validation_timeout: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ class CacheNode:
             return
         self._started = True
         self._last_report_at = self.clock.now()
-        self._sub = self.broker.broker_subscribe(self.config.subscription_depth)
+        self._sub = self.broker.broker_subscribe(DEFAULT_SUBSCRIPTION_DEPTH)
         self._spawn(self._ir_loop(), name="ir-loop")
         self._spawn(self._watchdog(), name="watchdog")
 
@@ -248,7 +247,7 @@ class CacheNode:
 
     async def _watchdog(self) -> None:
         interval = self.params.broadcast_interval
-        budget = self.config.lag_intervals * interval
+        budget = LAG_INTERVALS * interval
         while True:
             await self.clock.sleep(interval / 2)
             last = self._last_report_at
@@ -273,9 +272,7 @@ class CacheNode:
         """One timer for every pending episode, armed once: a fresh
         episode beginning while it sleeps restarts the timing instead of
         stacking a second timer (and a second stream of re-uploads)."""
-        timeout = self.config.validation_timeout
-        if timeout is None:
-            timeout = 2.0 * self.params.broadcast_interval
+        timeout = VALIDATION_TIMEOUT_INTERVALS * self.params.broadcast_interval
         session = self.session
         try:
             while session.pending:
