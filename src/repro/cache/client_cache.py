@@ -19,7 +19,7 @@ the scheme at the next report — see ``repro.schemes.base``.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .entry import CacheEntry
 from .lru import LRUCache
@@ -93,6 +93,30 @@ class ClientCache:
         else:
             self.unreconciled.discard(entry.item)
         self.insertions += 1
+
+    def load(self, entries: Sequence[CacheEntry]) -> None:
+        """Fill an empty cache with *entries*, least recently used first.
+
+        Leaves the cache as :meth:`insert` of each entry in turn (none
+        suspect) would: the same LRU order, ``insertions`` count and
+        certification epochs.  The items must be distinct and fit the
+        capacity, so nothing is evicted.
+        """
+        data = self._lru._data
+        if data:
+            raise ValueError("load fills an empty cache")
+        if len(entries) > self._lru.capacity:
+            raise ValueError("more entries than the cache holds")
+        epoch = self._epoch
+        for entry in entries:
+            entry.cert_epoch = epoch
+            data[entry.item] = entry
+        if len(data) != len(entries):
+            data.clear()
+            raise ValueError("entries must be for distinct items")
+        if self.unreconciled:
+            self.unreconciled.difference_update(data)
+        self.insertions += len(entries)
 
     def is_certified(self, entry: CacheEntry) -> bool:
         """Whether the last certification covered this entry."""

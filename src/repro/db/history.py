@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 
 class UpdateLog:
@@ -40,6 +40,13 @@ class UpdateLog:
     def updates_of(self, item: int) -> List[float]:
         """All update times of *item* (possibly empty), oldest first."""
         return list(self._times.get(item, ()))
+
+    def versions_at(self, items: Iterable[int], up_to: float) -> List[int]:
+        """Per item of *items*, how many updates it had at or before
+        *up_to*: its durable version counter's value at that instant."""
+        times_of = self._times.get
+        bisect_right = bisect.bisect_right
+        return [bisect_right(times_of(item, ()), up_to) for item in items]
 
     def last_update_before(self, item: int, up_to: float) -> float:
         """Latest update time of *item* that is <= *up_to* (-inf if none)."""

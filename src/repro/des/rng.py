@@ -9,7 +9,9 @@ own named stream so that
   (common random numbers across scheme comparisons).
 
 Stream seeds are derived from ``sha256(master_seed || name)`` so they do
-not depend on creation order.
+not depend on creation order.  Nor do they depend on *when* a stream
+derives its generator: a deferred stream derives it on its first draw
+and then yields exactly what an eager one does.
 """
 
 from __future__ import annotations
@@ -26,15 +28,52 @@ def _derive_entropy(seed: int, name: str) -> int:
     return int.from_bytes(digest[:16], "little")
 
 
+def _generator(seed: int, name: str) -> np.random.Generator:
+    """The generator behind stream *name* of master *seed*: the one
+    derivation of every stream, eager or deferred."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(_derive_entropy(seed, name)))
+    )
+
+
+class _Deferred:
+    """Stands in for a deferred stream's generator until its first draw.
+
+    The first attribute a draw method reads here derives the generator,
+    puts it in the stream's place and hands the attribute on.  From then
+    on the stream draws straight from its generator: the draw methods
+    pay nothing for the deferral.
+    """
+
+    __slots__ = ("_stream", "_seed")
+
+    def __init__(self, stream: "RandomStream", seed: int) -> None:
+        self._stream = stream
+        self._seed = seed
+
+    def __getattr__(self, attr: str) -> Any:
+        if attr.startswith("__"):
+            # copy, pickle and friends probe for protocol methods; a
+            # probe is not a draw.
+            raise AttributeError(attr)
+        stream = self._stream
+        gen = stream._gen = _generator(self._seed, stream.name)
+        return getattr(gen, attr)
+
+
 class RandomStream:
-    """A single named stream with the distributions the model needs."""
+    """A single named stream with the distributions the model needs.
+
+    A *deferred* stream derives its generator on its first draw instead
+    of now, which saves the derivation for a stream that is never drawn.
+    """
 
     __slots__ = ("name", "_gen")
 
-    def __init__(self, seed: int, name: str) -> None:
+    def __init__(self, seed: int, name: str, deferred: bool = False) -> None:
         self.name = name
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(_derive_entropy(seed, name)))
+        self._gen: "np.random.Generator | _Deferred" = (
+            _Deferred(self, seed) if deferred else _generator(seed, name)
         )
 
     def exponential(self, mean: float) -> float:
@@ -137,12 +176,16 @@ class RandomStreams:
         self.seed = int(seed)
         self._streams: Dict[str, RandomStream] = {}
 
-    def stream(self, name: str) -> RandomStream:
-        """Return the stream for *name*, creating it on first use."""
+    def stream(self, name: str, deferred: bool = False) -> RandomStream:
+        """Return the stream for *name*, creating it on first use.
+
+        A stream created *deferred* derives its generator on its first
+        draw; it yields the same numbers either way.
+        """
         try:
             return self._streams[name]
         except KeyError:
-            stream = RandomStream(self.seed, name)
+            stream = RandomStream(self.seed, name, deferred)
             self._streams[name] = stream
             return stream
 

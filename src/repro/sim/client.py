@@ -108,13 +108,24 @@ class MobileClient:
         # Per-bit receive cost hoisted out of the per-message charge path.
         self._rx_nj_per_bit = params.energy.rx_nj_per_bit
 
-        self._think_stream = streams.stream(f"client-{client_id}/think")
-        self._query_stream = streams.stream(f"client-{client_id}/query")
-        self._disc_stream = streams.stream(f"client-{client_id}/disconnect")
+        # A promoted client derives each stream on its first draw: most
+        # promoted members never think or retry before the pool absorbs
+        # them again.  A client built at t = 0 draws every stream, so it
+        # derives them now, in set-up (docs/PERFORMANCE.md, "Randomness").
+        deferred = resume is not None
+        self._think_stream = streams.stream(
+            f"client-{client_id}/think", deferred=deferred
+        )
+        self._query_stream = streams.stream(
+            f"client-{client_id}/query", deferred=deferred
+        )
+        self._disc_stream = streams.stream(
+            f"client-{client_id}/disconnect", deferred=deferred
+        )
         #: Jittered-backoff stream; only created when the retry layer is
         #: on, keeping the pristine configuration untouched.
         self._retry_stream = (
-            streams.stream(f"client-{client_id}/retry")
+            streams.stream(f"client-{client_id}/retry", deferred=deferred)
             if params.retries_enabled
             else None
         )

@@ -42,7 +42,6 @@ the aggregated == exact equivalence is established by
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -156,31 +155,26 @@ def rebuild_cache(
         raise ValueError("stratum signature exceeds the cache capacity")
     items: List[int] = []
     if hot is not None and n_hot:
-        items.extend(
-            int(i)
-            for i in stream.choice_without_replacement(hot.lo, hot.hi, n_hot)
-        )
+        items += stream.choice_without_replacement(hot.lo, hot.hi, n_hot).tolist()
     if n_cold:
         if hot is None:
-            items.extend(
-                int(i)
-                for i in stream.choice_without_replacement(
-                    0, pattern.n_items - 1, n_cold
-                )
-            )
+            items += stream.choice_without_replacement(
+                0, pattern.n_items - 1, n_cold
+            ).tolist()
         else:
             # Uniform over the complement of the hot region, via the same
             # skip trick the query pattern uses.
-            span = pattern.n_items - hot.size
-            for raw in stream.choice_without_replacement(0, span - 1, n_cold):
-                idx = int(raw)
-                items.append(idx if idx < hot.lo else idx + hot.size)
+            raw = stream.choice_without_replacement(
+                0, pattern.n_items - hot.size - 1, n_cold
+            )
+            items += np.where(raw < hot.lo, raw, raw + hot.size).tolist()
+    versions = (
+        [0] * len(items) if update_log is None else update_log.versions_at(items, tlb)
+    )
     cache = ClientCache(capacity)
-    for item in items:
-        version = 0
-        if update_log is not None:
-            version = bisect.bisect_right(update_log.updates_of(item), tlb)
-        cache.insert(CacheEntry(item=item, version=version, ts=tlb))
+    cache.load(
+        [CacheEntry(item, version, tlb) for item, version in zip(items, versions)]
+    )
     cache.certify(tlb)
     return cache
 

@@ -1,5 +1,6 @@
 """Tests for the client cache's certification-floor semantics."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,3 +166,52 @@ class TestInvalidateStaleMatchesThePeekLoop:
         assert cc.item_ids() == [1, 3]
         assert cc.invalidations == 2
         assert cc.unreconciled == set()
+
+
+def cache_state(cache):
+    return (
+        [(e.item, e.version, e.ts, e.cert_epoch) for e in cache.entries()],
+        cache.insertions,
+        cache.invalidations,
+        cache.evictions,
+        cache.epoch,
+        cache.certified_floor,
+        set(cache.unreconciled),
+    )
+
+
+class TestLoadMatchesInsertInTurn:
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 12), ops=_ops, data=st.data())
+    def test_same_cache(self, capacity, ops, data):
+        items = data.draw(st.lists(_items, unique=True, max_size=capacity))
+        times = data.draw(st.lists(_times, min_size=len(items), max_size=len(items)))
+        loaded = build(capacity, ops)
+        inserted = build(capacity, ops)
+        # Empty both caches, keeping their epochs, floors and any marks
+        # an evicted suspect entry left behind.
+        for cache in (loaded, inserted):
+            for item in cache.item_ids():
+                cache.invalidate(item)
+        loaded.load([CacheEntry(item=i, version=2, ts=t) for i, t in zip(items, times)])
+        for i, t in zip(items, times):
+            inserted.insert(CacheEntry(item=i, version=2, ts=t))
+        assert cache_state(loaded) == cache_state(inserted)
+
+    def test_rejects_a_cache_that_is_not_empty(self):
+        cc = ClientCache(capacity=4)
+        cc.insert(entry(1))
+        with pytest.raises(ValueError, match="empty"):
+            cc.load([entry(2)])
+
+    def test_rejects_more_entries_than_fit(self):
+        cc = ClientCache(capacity=2)
+        with pytest.raises(ValueError, match="holds"):
+            cc.load([entry(1), entry(2), entry(3)])
+        assert len(cc) == 0
+
+    def test_rejects_repeated_items_and_stays_empty(self):
+        cc = ClientCache(capacity=4)
+        with pytest.raises(ValueError, match="distinct"):
+            cc.load([entry(1), entry(2), entry(1)])
+        assert len(cc) == 0 and cc.insertions == 0

@@ -1,5 +1,7 @@
 """Tests for the ground-truth update log."""
 
+import bisect
+
 import pytest
 
 from repro.db import UpdateLog
@@ -39,3 +41,15 @@ class TestUpdateLog:
         assert log.last_update_before(7, up_to=9.0) == 9.0
         assert log.last_update_before(7, up_to=0.5) == float("-inf")
         assert log.last_update_before(8, up_to=10.0) == float("-inf")
+
+    def test_versions_at_counts_updates_up_to_and_at_the_instant(self):
+        log = UpdateLog()
+        for t in (1.0, 5.0, 9.0):
+            log.record(7, t)
+        log.record(3, 5.0)
+        items = [7, 3, 8, 7]
+        for up_to in (0.5, 1.0, 4.0, 5.0, 9.0, 10.0):
+            want = [bisect.bisect_right(log.updates_of(i), up_to) for i in items]
+            assert log.versions_at(items, up_to) == want
+        assert log.versions_at(items, 5.0) == [2, 1, 0, 2]
+        assert log.versions_at([], 5.0) == []

@@ -158,3 +158,72 @@ class TestBernoulliExponentials:
             stream.bernoulli_exponentials(3, 1.5, 1.0)
         with pytest.raises(ValueError):
             stream.bernoulli_exponentials(3, 0.5, -1.0)
+
+
+def _plain(values):
+    """A draw's result as a list of Python numbers, NaN as None."""
+    return [None if v != v else v for v in np.asarray(values).ravel().tolist()]
+
+
+#: Every draw method of RandomStream, with fixed arguments.
+DRAWS = {
+    "exponential": lambda s: s.exponential(3.0),
+    "uniform": lambda s: s.uniform(-1.0, 2.0),
+    "randint": lambda s: s.randint(0, 999),
+    "bernoulli": lambda s: s.bernoulli(0.3),
+    "bernoulli_exponentials": lambda s: _plain(s.bernoulli_exponentials(6, 0.5, 2.0)),
+    "uniforms": lambda s: s.uniforms(5),
+    "poisson_at_least_one": lambda s: s.poisson_at_least_one(4.0),
+    "choice_without_replacement": lambda s: _plain(
+        s.choice_without_replacement(10, 209, 12)
+    ),
+    "shuffled": lambda s: _plain(s.shuffled(list(range(16)))),
+}
+
+#: 1,000 stream names, in the simulator's per-client naming scheme.
+NAMES = [
+    f"client-{cid}/{kind}"
+    for cid in range(250)
+    for kind in ("think", "query", "disconnect", "retry")
+]
+
+
+class TestDeferredStreams:
+    """A deferred stream derives its generator on its first draw and then
+    yields exactly what an eager stream of the same name yields."""
+
+    @pytest.mark.parametrize("first", sorted(DRAWS))
+    def test_equals_eager_over_many_names(self, first):
+        # The first draw goes through *first*; the rest then run in a
+        # fixed order, so every method also draws on a derived generator.
+        order = [first, *(name for name in sorted(DRAWS) if name != first)]
+        for name in NAMES:
+            eager = RandomStream(2024, name)
+            deferred = RandomStream(2024, name, deferred=True)
+            for method in order:
+                assert DRAWS[method](deferred) == DRAWS[method](eager), (name, method)
+            assert (
+                deferred._gen.bit_generator.state == eager._gen.bit_generator.state
+            )
+
+    def test_derives_on_first_draw_only(self):
+        stream = RandomStream(3, "client-0/think", deferred=True)
+        assert not isinstance(stream._gen, np.random.Generator)
+        stream.uniform()
+        gen = stream._gen
+        assert isinstance(gen, np.random.Generator)
+        stream.uniform()
+        assert stream._gen is gen
+
+    def test_a_protocol_probe_is_not_a_draw(self):
+        stream = RandomStream(3, "client-0/think", deferred=True)
+        assert not hasattr(stream._gen, "__deepcopy__")
+        assert not isinstance(stream._gen, np.random.Generator)
+
+    def test_factory_defers_only_a_new_stream(self):
+        streams = RandomStreams(seed=5)
+        eager = streams.stream("a")
+        assert streams.stream("a", deferred=True) is eager
+        deferred = streams.stream("b", deferred=True)
+        assert not isinstance(deferred._gen, np.random.Generator)
+        assert streams.stream("b") is deferred

@@ -19,12 +19,16 @@ knob setting and workload — exactly the kind of claim Hypothesis is for:
   [0, 1]) at construction time, not at hour three of a megacell run.
 """
 
+import bisect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import ClientCache
-from repro.des.rng import RandomStreams
+from repro.cache import CacheEntry, ClientCache
+from repro.db import UpdateLog
+from repro.des import rng
+from repro.des.rng import RandomStream, RandomStreams
 from repro.sim import AggregationConfig, SystemParams
 from repro.sim.model import SimulationModel
 from repro.sim.population import cache_signature, rebuild_cache, warm_signature
@@ -155,6 +159,94 @@ def test_rebuild_cache_signature_roundtrip(db_size, hot_size, capacity, data):
     assert not cache.unreconciled
 
 
+def _rebuild_reference(stream, pattern, capacity, n_hot, n_cold, tlb, update_log):
+    """The per-entry rebuild that ``rebuild_cache`` replaced: one scalar
+    item mapping, one version bisection over a copied update list and
+    one ``insert`` per entry."""
+    hot = pattern.hot
+    items = []
+    if hot is not None and n_hot:
+        items.extend(
+            int(i) for i in stream.choice_without_replacement(hot.lo, hot.hi, n_hot)
+        )
+    if n_cold:
+        if hot is None:
+            items.extend(
+                int(i)
+                for i in stream.choice_without_replacement(
+                    0, pattern.n_items - 1, n_cold
+                )
+            )
+        else:
+            span = pattern.n_items - hot.size
+            for raw in stream.choice_without_replacement(0, span - 1, n_cold):
+                idx = int(raw)
+                items.append(idx if idx < hot.lo else idx + hot.size)
+    cache = ClientCache(capacity)
+    for item in items:
+        version = 0
+        if update_log is not None:
+            version = bisect.bisect_right(update_log.updates_of(item), tlb)
+        cache.insert(CacheEntry(item=item, version=version, ts=tlb))
+    cache.certify(tlb)
+    return cache
+
+
+def _cache_state(cache):
+    return (
+        [(e.item, e.version, e.ts, e.cert_epoch) for e in cache.entries()],
+        cache.insertions,
+        cache.evictions,
+        cache.epoch,
+        cache.certified_floor,
+        set(cache.unreconciled),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    workload=st.sampled_from([UNIFORM, HOTCOLD]),
+    # HOTCOLD's hot region is items 0-99.
+    db_size=st.integers(101, 240),
+    capacity=st.integers(1, 20),
+    tlb_step=st.integers(0, 30),
+    steps=st.lists(st.tuples(st.integers(0, 239), st.integers(0, 60)), max_size=300),
+    with_log=st.booleans(),
+    data=st.data(),
+)
+def test_rebuild_cache_equals_the_per_entry_inserts(
+    workload, db_size, capacity, tlb_step, steps, with_log, data
+):
+    """The one-pass rebuild leaves the cache the per-entry inserts did:
+    LRU order, versions, insertions, cert epochs and the floor, with
+    updates before, at and after ``Tlb``; both draw the same numbers."""
+    pattern = workload.query_pattern(db_size)
+    hot = pattern.hot
+    hot_size = 0 if hot is None else hot.size
+    n_hot = data.draw(st.integers(0, min(hot_size, capacity)))
+    cold_space = db_size - hot_size
+    n_cold = data.draw(st.integers(0, min(capacity - n_hot, cold_space)))
+    # Update times on a 10 s grid, Tlb on it too: many updates land at
+    # exactly Tlb, which counts toward the version.
+    tlb = 10.0 * tlb_step
+    log = UpdateLog() if with_log else None
+    if log is not None:
+        for item, k in sorted(steps, key=lambda step: step[1]):
+            log.record(item % db_size, 10.0 * k)
+    rebuilt = rebuild_cache(
+        RandomStream(9, "pool"), pattern, capacity, n_hot, n_cold, tlb, log
+    )
+    reference_stream = RandomStream(9, "pool")
+    reference = _rebuild_reference(
+        reference_stream, pattern, capacity, n_hot, n_cold, tlb, log
+    )
+    assert _cache_state(rebuilt) == _cache_state(reference)
+    # The same draws: a fresh twin stands where the reference stream does.
+    twin = RandomStream(9, "pool")
+    rebuild_cache(twin, pattern, capacity, n_hot, n_cold, tlb, log)
+    assert twin.uniform() == reference_stream.uniform()
+
+
 @given(db_size=st.integers(20, 300), capacity=st.integers(1, 50))
 def test_warm_signature_matches_warm_fill(db_size, capacity):
     """The parked-at-build-time signature equals what warm_fill draws."""
@@ -210,6 +302,72 @@ def test_a_promotion_builds_one_cache(monkeypatch):
     promoted = model.metrics.counter("pool.promoted").value
     assert promoted > 0
     assert built[0] == promoted
+
+
+#: A cell whose tail starts in the pool, with retries on: a promoted
+#: member has never been built, so its promotion mints its streams.
+SEEDED_POOL = SystemParams(
+    simulation_time=2000.0,
+    n_clients=60,
+    db_size=200,
+    buffer_fraction=0.05,
+    think_time_mean=40.0,
+    update_interarrival_mean=80.0,
+    disconnect_prob=0.9,
+    disconnect_time_mean=600.0,
+    warm_start=True,
+    uplink_timeout=200.0,
+    seed=5,
+    aggregation=AggregationConfig(k_exact=6, start_in_pool=1.0),
+)
+
+#: The streams a client owns: deferred when it is built by a promotion.
+CLIENT_STREAMS = ("think", "query", "disconnect", "retry")
+
+
+def test_a_promotion_derives_only_the_streams_it_draws(monkeypatch):
+    """Clients built at t = 0 derive their streams at construction; a
+    promoted member derives a stream of its own on its first draw and
+    never one it does not draw."""
+    derived = []
+    generator = rng._generator
+
+    def counting_generator(seed, name):
+        derived.append(name)
+        return generator(seed, name)
+
+    drawn = set()
+    for method in (
+        "exponential", "uniform", "randint", "bernoulli", "bernoulli_exponentials",
+        "uniforms", "poisson_at_least_one", "choice_without_replacement", "shuffled",
+    ):
+        def recording(self, *args, _draw=getattr(RandomStream, method), **kwargs):
+            drawn.add(self.name)
+            return _draw(self, *args, **kwargs)
+
+        monkeypatch.setattr(RandomStream, method, recording)
+    monkeypatch.setattr(rng, "_generator", counting_generator)
+
+    model = SimulationModel(SEEDED_POOL, HOTCOLD, "ts")
+    at_build = set(derived)
+    assert model.clients
+    for client in model.clients:
+        for kind in CLIENT_STREAMS:
+            assert f"client-{client.client_id}/{kind}" in at_build
+    derived.clear()
+    drawn.clear()
+    model.run()
+    assert model.metrics.counter("pool.promoted").value > 0
+    minted = {
+        name
+        for name in model.streams._streams
+        if name not in at_build and name.rsplit("/", 1)[-1] in CLIENT_STREAMS
+    }
+    assert len(derived) == len(set(derived))
+    # Each promotion-minted stream was derived exactly when drawn ...
+    assert minted & set(derived) == minted & drawn
+    # ... and some were never drawn, so never derived.
+    assert minted - drawn
 
 
 # -- validation ------------------------------------------------------------
