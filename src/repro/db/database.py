@@ -17,7 +17,7 @@ O(N) — essential when BS reports are built every 20 simulated seconds.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -166,11 +166,6 @@ class Database:
         self._check_item(item)
         return int(self.version[item]), float(self.last_update[item])
 
-    @property
-    def distinct_updated(self) -> int:
-        """How many distinct items have ever been updated."""
-        return len(self._recency)
-
     def updated_since(self, cutoff: float) -> List[Tuple[int, float]]:
         """Items whose latest update is strictly after *cutoff*.
 
@@ -201,14 +196,3 @@ class Database:
         self._recency_order_key = key
         self._recency_order_result = out
         return out
-
-    def iter_recency_desc(self) -> Iterator[Tuple[int, float]]:
-        """Iterate all updated items most recent first."""
-        return iter(reversed(self._recency.items()))
-
-    def latest_update_time(self) -> float:
-        """Time of the most recent update anywhere (NEVER if none)."""
-        if not self._recency:
-            return NEVER
-        item = next(reversed(self._recency))
-        return self._recency[item]

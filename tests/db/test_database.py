@@ -9,8 +9,7 @@ class TestBasics:
     def test_fresh_database(self):
         db = Database(10)
         assert db.read(0) == (0, NEVER)
-        assert db.distinct_updated == 0
-        assert db.latest_update_time() == NEVER
+        assert db.recency_order() == []
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
@@ -58,7 +57,7 @@ class TestRecency:
         db.apply_update(2, 2.0)
         db.apply_update(1, 3.0)
         assert db.updated_since(0.0) == [(1, 3.0), (2, 2.0)]
-        assert db.distinct_updated == 2
+        assert len(db.recency_order()) == 2
 
     def test_recency_order_with_limit(self):
         db = Database(10)
@@ -71,7 +70,7 @@ class TestRecency:
         db = Database(10)
         db.apply_update(4, 7.0)
         db.apply_update(2, 9.5)
-        assert db.latest_update_time() == 9.5
+        assert db.recency_order(limit=1) == [(2, 9.5)]
 
     def test_same_timestamp_updates_allowed(self):
         """A transaction updates several items at the same instant."""

@@ -38,7 +38,7 @@ class TestUpdateGenerator:
         env.run(until=1000)
         assert gen.transactions > 10
         assert db.total_updates == gen.items_updated == log.total
-        assert db.distinct_updated > 0
+        assert db.recency_order()
 
     def test_transaction_rate_matches_interarrival(self):
         env = Environment()
@@ -79,7 +79,7 @@ class TestUpdateGenerator:
             db = Database(50)
             make_gen(env, db, seed=42)
             env.run(until=500)
-            return list(db.iter_recency_desc())
+            return db.recency_order()
 
         assert run() == run()
 
