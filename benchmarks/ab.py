@@ -16,10 +16,19 @@ For every (workload, seed), the runner makes ``--pairs`` pairs of
 subprocess.  The side that runs first alternates from pair to pair, so
 a slow spell of the host lands on both sides alike.  The JSON it writes
 holds every run's metrics, digest and host factor and, per metric, both
-medians, the base quartiles and how many pairs the change won.  The exit code is 1
-when a run fails its output checks or the two sides' digests differ,
-since a change meant to alter only speed must leave the outputs
-unchanged.
+medians, the base quartiles, how many pairs the change won and two
+verdicts:
+
+* ``claim_met``: the change won at least 9 in 10 of the pairs (a tie
+  counts for neither side) and its median beats the base's by more than
+  the base's quartile spread;
+* ``within_bound``: the change's median is worse than the base's by no
+  more than the metric's ``bound`` in ``BENCHMARK.json`` (None for a
+  metric without one).
+
+The exit code is 1 when a run fails its output checks or the two sides'
+digests differ, since a change meant to alter only speed must leave the
+outputs unchanged.
 """
 
 from __future__ import annotations
@@ -62,10 +71,10 @@ def export(commit: str, dest: Path) -> None:
             tar.extractall(dest)
 
 
-def directions() -> Dict[str, str]:
-    """Metric name -> ``"lower"`` or ``"higher"``, from BENCHMARK.json."""
+def end_to_end_specs() -> Dict[str, dict]:
+    """Metric name -> its ``{"better", "bound", ...}`` in BENCHMARK.json."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
 def run_side(
@@ -107,16 +116,26 @@ def quartiles(values: List[float]) -> List[float]:
     return [q1, q3]
 
 
-def summarize(pairs: List[dict], better: Dict[str, str]) -> dict:
-    """Per metric: both medians, the base quartiles and the change's wins."""
+def summarize(pairs: List[dict], specs: Dict[str, dict]) -> dict:
+    """Per metric: both medians, the base quartiles, the change's wins
+    and the ``claim_met`` and ``within_bound`` verdicts.
+
+    *specs* maps a metric to its BENCHMARK.json entry; a metric missing
+    from it counts lower as better and has no bound.
+    """
     out = {}
     for name in pairs[0]["base"]["metrics"]:
         base = [p["base"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
-        lower = better.get(name, "lower") == "lower"
+        spec = specs.get(name, {})
+        lower = spec.get("better", "lower") == "lower"
+        bound = spec.get("bound")
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         base_median = statistics.median(base)
         change_median = statistics.median(change)
+        q1, q3 = quartiles(base)
+        # How far the change's median is better than the base's.
+        gain = base_median - change_median if lower else change_median - base_median
         out[name] = {
             "better": "lower" if lower else "higher",
             "base_median": base_median,
@@ -124,11 +143,19 @@ def summarize(pairs: List[dict], better: Dict[str, str]) -> dict:
             "change_pct": (
                 100.0 * (change_median / base_median - 1.0) if base_median else None
             ),
-            "base_quartiles": quartiles(base),
+            "base_quartiles": [q1, q3],
             "wins": wins,
             "pairs": len(pairs),
+            "claim_met": 10 * wins >= 9 * len(pairs) and gain > q3 - q1,
+            "within_bound": (
+                None if bound is None else -gain <= bound * abs(base_median)
+            ),
         }
     return out
+
+
+def verdict(value) -> str:
+    return "n/a" if value is None else ("yes" if value else "no")
 
 
 def main(argv=None) -> int:
@@ -149,7 +176,7 @@ def main(argv=None) -> int:
 
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-    better = directions()
+    specs = end_to_end_specs()
     report: dict = {
         "base": {"rev": args.base, "commit": base_commit},
         "change": {"commit": git("rev-parse", "HEAD"), "uncommitted_edits": dirty},
@@ -193,7 +220,7 @@ def main(argv=None) -> int:
                 report["results"].setdefault(workload, {})[str(seed)] = {
                     "correct": correct,
                     "digests": {**digests, "equal": equal},
-                    "metrics": summarize(pairs, better),
+                    "metrics": summarize(pairs, specs),
                     "pairs": pairs,
                 }
     finally:
@@ -207,7 +234,9 @@ def main(argv=None) -> int:
                 q1, q3 = m["base_quartiles"]
                 pct = "" if m["change_pct"] is None else f" ({m['change_pct']:+.1f} %)"
                 print(f"  {name:<22s} {m['base_median']:.6g} [{q1:.6g}-{q3:.6g}] -> "
-                      f"{m['change_median']:.6g}{pct}, won {m['wins']}/{m['pairs']}")
+                      f"{m['change_median']:.6g}{pct}, won {m['wins']}/{m['pairs']}, "
+                      f"claim met {verdict(m['claim_met'])}, "
+                      f"within bound {verdict(m['within_bound'])}")
     if args.out is not None:
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0 if ok else 1

@@ -19,7 +19,7 @@ the scheme at the next report — see ``repro.schemes.base``.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Mapping, Optional, Sequence, Set
 
 from .entry import CacheEntry
 from .lru import LRUCache
@@ -140,33 +140,45 @@ class ClientCache:
             return True
         return False
 
-    def invalidate_stale(self, updates: Iterable[Tuple[int, float]]) -> int:
+    def invalidate_stale(self, updates: Mapping[int, float]) -> int:
         """Drop each cached item updated after its entry's effective time.
 
-        *updates* yields ``(item, ts)`` pairs, a report's update times.
-        Each item is looked up in the cache's own dict, without touching
-        recency; an entry whose :meth:`effective_ts` is older than its
-        ``ts`` (Figure 1's ``t_c < t_j`` test) goes through
-        :meth:`invalidate`.  Returns the number of entries dropped.
+        *updates* maps items to a report's update times.  Only the items
+        both listed and cached are visited: the key intersection runs in
+        C over the smaller side.  An entry whose :meth:`effective_ts` is
+        older than its update time (Figure 1's ``t_c < t_j`` test) goes
+        through :meth:`invalidate`.  Returns the number of entries
+        dropped.
         """
-        # The LRU map's own dict: a lookup costs no Python frame.
-        entry_of = self._lru._data.get
+        data = self._lru._data
         epoch = self._epoch
         floor = self.certified_floor
         dropped = 0
-        for item, ts in updates:
-            entry = entry_of(item)
-            if entry is None:
-                continue
+        for item in updates.keys() & data.keys():
+            entry = data[item]
             # effective_ts(entry), inline: dropping an entry moves
             # neither the epoch nor the floor.
             if entry.cert_epoch < epoch and floor > entry.ts:
                 effective = floor
             else:
                 effective = entry.ts
-            if ts > effective:
+            if updates[item] > effective:
                 self.invalidate(item)
                 dropped += 1
+        return dropped
+
+    def invalidate_listed(self, items: FrozenSet[int]) -> int:
+        """Drop every cached item in *items*; returns how many.
+
+        Only the intersection with the cached keys is visited.  It is
+        computed in C from the cache side, so a drop set costs at most
+        the cache's capacity in lookups, however deep the report level
+        it comes from.  Each drop goes through :meth:`invalidate`.
+        """
+        dropped = 0
+        for item in items.intersection(self._lru._data):
+            self.invalidate(item)
+            dropped += 1
         return dropped
 
     def unreconciled_entries(self) -> List[CacheEntry]:

@@ -54,6 +54,7 @@ DRAW_METHODS = frozenset(
         "uniform",
         "randint",
         "bernoulli",
+        "bernoulli_exponentials",
         "uniforms",
         "poisson_at_least_one",
         "choice_without_replacement",

@@ -39,6 +39,8 @@ class AmnesicReport(Report):
         #: server never saw the updates before it).
         self.covered_from = max(self.timestamp - self.interval, float(origin))
         self.items: FrozenSet[int] = frozenset(items)
+        # Built once: every covered listener shares it.
+        self._covered = Invalidation.drop(self.items)
         self.n_items = n_items
         self.size_bits = amnesic_report_bits(len(self.items), n_items, timestamp_bits)
 
@@ -53,7 +55,7 @@ class AmnesicReport(Report):
     def invalidation_for(self, tlb: float) -> Invalidation:
         if not self.covers(tlb):
             return Invalidation.drop_all()
-        return Invalidation.drop(self.items)
+        return self._covered
 
 
 def build_amnesic_report(

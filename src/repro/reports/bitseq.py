@@ -25,7 +25,7 @@ Client algorithm (paper Figure 2), implemented by
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,10 +69,6 @@ class BitSequenceReport(Report):
 
     kind = ReportKind.BIT_SEQUENCES
 
-    # Created lazily by ones_set(); annotation only, so the AttributeError
-    # fast path in ones_set keeps working.
-    _ones_sets: Dict[int, FrozenSet[int]]
-
     def __init__(
         self,
         timestamp: float,
@@ -104,6 +100,11 @@ class BitSequenceReport(Report):
         # TS(B0): the time after which nothing has been updated.
         self.ts_b0 = self._times[0] if d > 0 else self.origin
         self.size_bits = bitseq_report_bits(n_items, timestamp_bits)
+        # Memos shared by every listener of the report: one covered
+        # Invalidation per level, and the last Tlb's outcome (one tick's
+        # listeners mostly heard the same previous report).
+        self._level_invs: Dict[int, Invalidation] = {}
+        self._tlb_slot: Optional[Tuple[float, Invalidation]] = None
 
     def __repr__(self) -> str:
         return (
@@ -148,23 +149,28 @@ class BitSequenceReport(Report):
         set across them matters when deep levels (up to N/2 items) are in
         play.
         """
+        return self._level_invalidation(idx).items
+
+    def _level_invalidation(self, idx: int) -> Invalidation:
+        """The covered invalidation of level *idx*'s 1-bits, memoized."""
         try:
-            cache = self._ones_sets
-        except AttributeError:
-            cache = self._ones_sets = {}
-        try:
-            return cache[idx]
+            return self._level_invs[idx]
         except KeyError:
-            s = frozenset(self.ones_of_level(idx))
-            cache[idx] = s
-            return s
+            inv = self._level_invs[idx] = Invalidation.drop(self.ones_of_level(idx))
+            return inv
 
     def invalidation_for(self, tlb: float) -> Invalidation:
+        slot = self._tlb_slot
+        if slot is not None and slot[0] == tlb:
+            return slot[1]
         if tlb >= self.ts_b0:
-            return Invalidation.nothing()
-        if not self.salvageable(tlb):
-            return Invalidation.drop_all()
-        return Invalidation(covered=True, items=self.ones_set(self.level_for(tlb)))
+            inv = Invalidation.nothing()
+        elif not self.salvageable(tlb):
+            inv = Invalidation.drop_all()
+        else:
+            inv = self._level_invalidation(self.level_for(tlb))
+        self._tlb_slot = (tlb, inv)
+        return inv
 
     # -- literal bit-level view ------------------------------------------------
 

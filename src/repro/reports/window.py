@@ -19,7 +19,7 @@ the extra ``(id, ts)`` records the wider window drags in.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from .base import Invalidation, Report, ReportKind, UpdateLog
 from .sizes import (
@@ -73,7 +73,7 @@ class WindowReport(Report):
         self.newest_ts = max(self.items.values(), default=self.window_start)
         # Single-slot memo for fresh_since(): listeners in one broadcast
         # tick overwhelmingly share a certification floor.
-        self._fresh_memo: Optional[Tuple[float, List[Tuple[int, float]]]] = None
+        self._fresh_memo: Optional[Tuple[float, Dict[int, float]]] = None
         self.size_bits = window_report_bits(len(items), n_items, timestamp_bits)
 
     def __repr__(self) -> str:
@@ -86,18 +86,19 @@ class WindowReport(Report):
         """True when the client's gap lies inside the window."""
         return tlb >= self.window_start
 
-    def fresh_since(self, floor: float) -> List[Tuple[int, float]]:
-        """The report's ``(item, ts)`` pairs with ``ts > floor``, memoized.
+    def fresh_since(self, floor: float) -> Dict[int, float]:
+        """The report's ``{item: ts}`` with ``ts > floor``, memoized.
 
         A client whose cache holds no suspect entries only needs these
         against its certification floor (every entry's effective
         timestamp is at least the floor); one tick's listeners share a
         floor, so the filter runs once per broadcast, not per client.
+        Listeners share the returned dict: it must not be mutated.
         """
         memo = self._fresh_memo
         if memo is not None and memo[0] == floor:
             return memo[1]
-        fresh = [(item, ts) for item, ts in self.items.items() if ts > floor]
+        fresh = {item: ts for item, ts in self.items.items() if ts > floor}
         self._fresh_memo = (floor, fresh)
         return fresh
 

@@ -100,15 +100,7 @@ def apply_window_report(cache: ClientCache, report) -> int:
             # slower than the whole window.  Conservatively drop.
             cache.invalidate(entry.item)
             dropped += 1
-    items = report.items
-    if len(items) <= len(cache):
-        dropped += cache.invalidate_stale(items.items())
-    else:
-        for entry in cache.entries():
-            ts = items.get(entry.item)
-            if ts is not None and ts > cache.effective_ts(entry):
-                cache.invalidate(entry.item)
-                dropped += 1
+    dropped += cache.invalidate_stale(report.items)
     cache.certify(report.timestamp)
     return dropped
 
@@ -168,15 +160,7 @@ def apply_invalidation(
     if not inv.items:
         cache.certify(report_time)
         return 0
-    dropped = 0
-    if len(inv.items) <= len(cache):
-        for item in inv.items:
-            if cache.invalidate(item):
-                dropped += 1
-    else:
-        for item in cache.item_ids():
-            if item in inv.items and cache.invalidate(item):
-                dropped += 1
+    dropped = cache.invalidate_listed(inv.items)
     cache.certify(report_time)
     return dropped
 
@@ -222,13 +206,15 @@ class ClientPolicy:
                 inv = report.invalidation_for(ctx.tlb)
                 if not inv.covered:
                     return self.on_uncovered(ctx, report)
-                reconcile_with_bitseq(cache, report)
+                if cache.unreconciled:
+                    reconcile_with_bitseq(cache, report)
                 apply_invalidation(cache, inv, t)
         else:  # amnesic
             inv = report.invalidation_for(ctx.tlb)
             if not inv.covered:
                 return self.on_uncovered(ctx, report)
-            reconcile_with_amnesic(cache, report)
+            if cache.unreconciled:
+                reconcile_with_amnesic(cache, report)
             apply_invalidation(cache, inv, t)
         ctx.tlb = t
         return _READY

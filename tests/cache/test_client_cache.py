@@ -90,9 +90,9 @@ class TestClientCache:
 
 def reference_drop(cache, updates):
     """The per-item drop loop that ``invalidate_stale`` replaces: one
-    ``peek`` and one ``effective_ts`` per report item."""
+    ``peek`` and one ``effective_ts`` per ``(item, ts)`` pair."""
     dropped = 0
-    for item, ts in updates:
+    for item, ts in updates.items():
         entry = cache.peek(item)
         if entry is not None and ts > cache.effective_ts(entry):
             cache.invalidate(item)
@@ -132,7 +132,7 @@ class TestInvalidateStaleMatchesThePeekLoop:
     @given(
         capacity=st.integers(1, 12),
         ops=_ops,
-        updates=st.lists(st.tuples(st.integers(0, 20), _times), max_size=25),
+        updates=st.dictionaries(st.integers(0, 20), _times, max_size=25),
     )
     def test_same_drops_counters_and_lru_order(self, capacity, ops, updates):
         got = build(capacity, ops)
@@ -146,25 +146,49 @@ class TestInvalidateStaleMatchesThePeekLoop:
         assert got.certified_floor == want.certified_floor
         assert got.epoch == want.epoch
 
-    def test_mixes_certified_uncertified_and_suspect_entries(self):
+    @staticmethod
+    def mixed_cache():
         cc = ClientCache(capacity=8)
         cc.insert(entry(1, ts=5.0))  # certified below the floor
         cc.insert(entry(2, ts=30.0))  # certified above the floor
         cc.certify(20.0)
         cc.insert(entry(3, ts=25.0))  # fetched after the certification
         cc.insert(entry(4, ts=10.0), suspect=True)
-        updates = [
-            (1, 15.0),  # older than the floor: kept
-            (1, 20.0),  # equal to the floor: kept
-            (2, 25.0),  # older than the entry's own ts: kept
-            (2, 31.0),  # dropped
-            (3, 25.0),  # equal to the entry's own ts: kept
-            (4, 15.0),  # dropped
-            (9, 99.0),  # not cached
-        ]
-        assert cc.invalidate_stale(updates) == 2
-        assert cc.item_ids() == [1, 3]
-        assert cc.invalidations == 2
+        return cc
+
+    # A mapping lists an item once, so items 1 and 2 meet their two
+    # boundary times in two caches built alike.
+    @pytest.mark.parametrize(
+        "updates, kept",
+        [
+            (
+                {
+                    1: 15.0,  # older than the floor: kept
+                    2: 25.0,  # older than the entry's own ts: kept
+                    3: 25.0,  # equal to the entry's own ts: kept
+                    4: 15.0,  # dropped
+                    9: 99.0,  # not cached
+                },
+                [1, 2, 3],
+            ),
+            (
+                {
+                    1: 20.0,  # equal to the floor: kept
+                    2: 31.0,  # dropped
+                    4: 15.0,  # dropped
+                },
+                [1, 3],
+            ),
+        ],
+    )
+    def test_mixes_certified_uncertified_and_suspect_entries(self, updates, kept):
+        cc = self.mixed_cache()
+        want = self.mixed_cache()
+        dropped = 4 - len(kept)
+        assert cc.invalidate_stale(updates) == dropped
+        assert reference_drop(want, updates) == dropped
+        assert cc.item_ids() == want.item_ids() == kept
+        assert cc.invalidations == dropped
         assert cc.unreconciled == set()
 
 

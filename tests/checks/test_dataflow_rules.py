@@ -9,7 +9,9 @@ import time
 from pathlib import Path
 
 from repro.checks.baseline import Baseline
+from repro.checks.dataflow import DRAW_METHODS
 from repro.checks.engine import get_rule, run_checks
+from repro.des.rng import RandomStream
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -31,6 +33,17 @@ def _run(fixture: str, *codes: str):
 
 
 # ---------------------------------------------------------------- DET004
+
+
+def test_draw_methods_are_the_public_methods_of_random_stream():
+    """DET004 tracks a draw only by its method name: a draw method it
+    does not list escapes the rule."""
+    public = {
+        name
+        for name, value in vars(RandomStream).items()
+        if callable(value) and not name.startswith("_")
+    }
+    assert DRAW_METHODS == public
 
 
 def test_det004_leak_fixture_finds_each_seeded_escape():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.db import Database
-from repro.reports import build_amnesic_report
+from repro.reports import Invalidation, build_amnesic_report
 
 
 def make_db():
@@ -24,6 +24,12 @@ class TestAmnesicReport:
         inv = report.invalidation_for(tlb=10.0)  # heard previous report
         assert inv.covered
         assert inv.items == {2, 3}
+
+    def test_covered_listeners_share_one_invalidation(self):
+        report = build_amnesic_report(make_db(), timestamp=20.0, interval=10.0)
+        first = report.invalidation_for(tlb=10.0)
+        assert first == Invalidation.drop(report.items)
+        assert report.invalidation_for(tlb=20.0) is first
 
     def test_client_with_gap_drops_all(self):
         report = build_amnesic_report(make_db(), timestamp=20.0, interval=10.0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.db import Database
 from repro.reports import (
     BitSequenceReport,
+    Invalidation,
     build_bitseq_report,
     decode_levels,
     level_counts_for,
@@ -20,6 +21,16 @@ def db_with_updates(n_items, updates):
     for item, ts in updates:
         db.apply_update(item, ts)
     return db
+
+
+def fresh_invalidation(report, tlb):
+    """Figure 2's outcome for *tlb*, built anew on every call."""
+    if tlb >= report.ts_b0:
+        return Invalidation(covered=True)
+    if not report.salvageable(tlb):
+        return Invalidation(covered=False)
+    level = report.ones_of_level(report.level_for(tlb))
+    return Invalidation(covered=True, items=frozenset(level))
 
 
 class TestLevelStructure:
@@ -119,6 +130,30 @@ class TestClientAlgorithm:
         report = build_bitseq_report(db, timestamp=10.0, origin=0.0)
         with pytest.raises(ValueError):
             report.level_for(0.1)
+
+    @pytest.mark.parametrize(
+        "updates",
+        [
+            # 40 of 64 items updated: a Tlb below TS(Bn) drops all.
+            [(i % 40, float(i + 1)) for i in range(60)],
+            # 5 updated: the deeper levels date from the origin.
+            [(i, float(i + 1)) for i in range(5)],
+        ],
+    )
+    def test_memos_match_a_fresh_invalidation_on_a_grid(self, updates):
+        """Every Tlb around each level time, TS(B0) and TS(Bn), visited
+        up the grid and back down: the shared per-level and last-Tlb
+        memos answer as a fresh invalidation would, and a repeated Tlb
+        gets the same object."""
+        report = build_bitseq_report(
+            db_with_updates(64, updates), timestamp=70.0, origin=0.0
+        )
+        marks = [*report.level_times, report.ts_b0, report.ts_bn]
+        grid = sorted({t + d for t in marks for d in (-0.5, 0.0, 0.5)})
+        for tlb in grid + grid[::-1]:
+            got = report.invalidation_for(tlb)
+            assert got == fresh_invalidation(report, tlb)
+            assert report.invalidation_for(tlb) is got
 
     def test_tied_timestamps_within_transaction(self):
         """Items updated at the same instant must stay conservative."""

@@ -120,8 +120,8 @@ class TestFreshSince:
     def test_filters_by_floor(self):
         db = make_db()
         report = build_window_report(db, timestamp=60.0, window_seconds=40.0)
-        assert dict(report.fresh_since(30.0)) == {3: 40.0, 1: 55.0}
-        assert report.fresh_since(55.0) == []
+        assert report.fresh_since(30.0) == {3: 40.0, 1: 55.0}
+        assert report.fresh_since(55.0) == {}
 
     def test_memo_reused_for_same_floor(self):
         db = make_db()

@@ -4,6 +4,8 @@ import runpy
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import CacheEntry, ClientCache
 from repro.reports import Invalidation, WindowReport
@@ -16,6 +18,75 @@ EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 def entry(item, ts=0.0):
     return CacheEntry(item=item, version=1, ts=ts)
+
+
+# Caches built from inserts and certifications.  Times sit on a coarse
+# grid, so report times often equal an entry's ts or the floor; small
+# capacities evict suspect entries, which leaves their marks behind in
+# ``unreconciled``.
+_times = st.integers(0, 12).map(lambda k: 10.0 * k)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, 15), _times, st.booleans()),
+        st.tuples(st.just("certify"), _times),
+    ),
+    max_size=40,
+)
+
+
+def build(capacity, ops):
+    """A cache as a window-scheme client keeps it: an entry older than
+    the certification floor is always inserted as suspect."""
+    cache = ClientCache(capacity)
+    for op in ops:
+        if op[0] == "insert":
+            _, item, ts, suspect = op
+            suspect = suspect or ts < cache.certified_floor
+            cache.insert(CacheEntry(item=item, version=1, ts=ts), suspect=suspect)
+        else:
+            cache.certify(op[1])
+    return cache
+
+
+def cache_state(cache):
+    return (
+        [(e.item, e.version, e.ts, e.cert_epoch) for e in cache.entries()],
+        cache.insertions,
+        cache.invalidations,
+        cache.evictions,
+        cache.epoch,
+        cache.certified_floor,
+        set(cache.unreconciled),
+    )
+
+
+def reference_apply_invalidation(cache, inv, report_time):
+    """The per-item loop ``apply_invalidation`` replaced: one
+    ``invalidate`` call per listed item, cached or not."""
+    dropped = 0
+    for item in inv.items:
+        if cache.invalidate(item):
+            dropped += 1
+    cache.certify(report_time)
+    return dropped
+
+
+def reference_apply_window_report(cache, report):
+    """``apply_window_report`` as a per-item loop: drop the suspects the
+    window cannot bound, then one ``peek`` and one ``effective_ts`` per
+    listed item."""
+    dropped = 0
+    for suspect in cache.unreconciled_entries():
+        if suspect.ts < report.window_start:
+            cache.invalidate(suspect.item)
+            dropped += 1
+    for item, ts in report.items.items():
+        cached = cache.peek(item)
+        if cached is not None and ts > cache.effective_ts(cached):
+            cache.invalidate(item)
+            dropped += 1
+    cache.certify(report.timestamp)
+    return dropped
 
 
 class TestApplyInvalidation:
@@ -42,6 +113,23 @@ class TestApplyInvalidation:
         assert dropped == 2
         assert len(cache) == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=st.integers(1, 8),
+        ops=_ops,
+        items=st.frozensets(st.integers(0, 20), max_size=21),
+    )
+    def test_matches_the_per_item_loop(self, capacity, ops, items):
+        """Drop sets smaller and larger than the cache, suspect entries
+        and stale marks alike leave the reference loop's cache."""
+        got = build(capacity, ops)
+        want = build(capacity, ops)
+        inv = Invalidation.drop(items)
+        assert apply_invalidation(got, inv, 130.0) == reference_apply_invalidation(
+            want, inv, 130.0
+        )
+        assert cache_state(got) == cache_state(want)
+
     def test_certifies_even_when_nothing_dropped(self):
         cache = ClientCache(4)
         cache.insert(entry(1))
@@ -61,6 +149,27 @@ class TestApplyWindowReport:
         dropped = apply_window_report(cache, report)
         assert dropped == 2
         assert len(cache) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=st.integers(1, 8),
+        ops=_ops,
+        window_start=_times,
+        updates=st.dictionaries(st.integers(0, 20), _times, max_size=21),
+    )
+    def test_matches_the_per_item_loop(self, capacity, ops, window_start, updates):
+        """With and without suspects, for reports smaller and larger
+        than the cache."""
+        items = {item: ts for item, ts in updates.items() if ts > window_start}
+        report = WindowReport(
+            timestamp=130.0, window_start=window_start, items=items, n_items=21
+        )
+        got = build(capacity, ops)
+        want = build(capacity, ops)
+        assert apply_window_report(got, report) == reference_apply_window_report(
+            want, report
+        )
+        assert cache_state(got) == cache_state(want)
 
     def test_returns_drop_count(self):
         cache = ClientCache(4)
