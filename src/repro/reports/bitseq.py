@@ -156,7 +156,8 @@ class BitSequenceReport(Report):
         try:
             return self._level_invs[idx]
         except KeyError:
-            inv = self._level_invs[idx] = Invalidation.drop(self.ones_of_level(idx))
+            ones = frozenset(self.ones_of_level(idx))
+            inv = self._level_invs[idx] = Invalidation(covered=True, items=ones)
             return inv
 
     def invalidation_for(self, tlb: float) -> Invalidation:

@@ -156,11 +156,10 @@ class TestInvalidateStaleMatchesThePeekLoop:
         cc.insert(entry(4, ts=10.0), suspect=True)
         return cc
 
-    # A mapping lists an item once, so items 1 and 2 meet their two
-    # boundary times in two caches built alike.
-    @pytest.mark.parametrize(
-        "updates, kept",
-        [
+    def test_mixes_certified_uncertified_and_suspect_entries(self):
+        # A mapping lists an item once, so items 1 and 2 meet their two
+        # boundary times in two caches built alike.
+        cases = [
             (
                 {
                     1: 15.0,  # older than the floor: kept
@@ -179,17 +178,16 @@ class TestInvalidateStaleMatchesThePeekLoop:
                 },
                 [1, 3],
             ),
-        ],
-    )
-    def test_mixes_certified_uncertified_and_suspect_entries(self, updates, kept):
-        cc = self.mixed_cache()
-        want = self.mixed_cache()
-        dropped = 4 - len(kept)
-        assert cc.invalidate_stale(updates) == dropped
-        assert reference_drop(want, updates) == dropped
-        assert cc.item_ids() == want.item_ids() == kept
-        assert cc.invalidations == dropped
-        assert cc.unreconciled == set()
+        ]
+        for updates, kept in cases:
+            cc = self.mixed_cache()
+            want = self.mixed_cache()
+            dropped = 4 - len(kept)
+            assert cc.invalidate_stale(updates) == dropped
+            assert reference_drop(want, updates) == dropped
+            assert cc.item_ids() == want.item_ids() == kept
+            assert cc.invalidations == dropped
+            assert cc.unreconciled == set()
 
 
 def cache_state(cache):
